@@ -433,14 +433,13 @@ let hosted_dispatch () =
 
 (* The tentpole acceptance gate: the suite-level flat engine hosted
    engine-direct must beat per-checker compiled hub hosting by >= 2x
-   at 64 checkers on the dispatch workload above.  Three hostings of
-   the identical stream: the routed hub over per-pattern compiled
-   backends (baseline), the same hub over flat views (shared engine,
-   per-checker closures), and Hub.host_flat stepping the engine's
-   dispatch table directly. *)
+   at 64 checkers on the dispatch workload above.  Two hostings of the
+   identical stream: the routed hub over per-pattern compiled backends
+   (baseline) and Hub.host_flat stepping the engine's dispatch table
+   directly. *)
 let flat_table () =
   section
-    "Flat suite engine: hub compiled vs flat views vs engine-direct dispatch";
+    "Flat suite engine: hub compiled vs engine-direct dispatch";
   let open Loseq_sim in
   let open Loseq_verif in
   let target_events = 120_000 in
@@ -486,35 +485,29 @@ let flat_table () =
         suite;
       hub
     in
-    let flat_views tap =
-      Suite.attach_hub ~suite_backend:Backend.flat_views tap suite
-    in
     let flat_engine tap = fst (Suite.attach_hub_flat tap suite) in
     (* interleaved best-of so frequency drift cancels *)
     ignore (timed hub_compiled);
-    let hub_s = ref infinity
-    and views_s = ref infinity
-    and engine_s = ref infinity in
+    let hub_s = ref infinity and engine_s = ref infinity in
     for _ = 1 to 5 do
       hub_s := Float.min !hub_s (timed hub_compiled);
-      views_s := Float.min !views_s (timed flat_views);
       engine_s := Float.min !engine_s (timed flat_engine)
     done;
-    (n, events, !hub_s, !views_s, !engine_s)
+    (n, events, !hub_s, !engine_s)
   in
   let rows = List.map bench [ 1; 4; 16; 64 ] in
-  Format.printf "%-10s | %8s | %12s | %12s | %12s | %8s@." "checkers"
-    "events" "hub compiled" "flat views" "flat engine" "speedup";
+  Format.printf "%-10s | %8s | %12s | %12s | %8s@." "checkers" "events"
+    "hub compiled" "flat engine" "speedup";
   List.iter
-    (fun (n, events, hub_s, views_s, engine_s) ->
+    (fun (n, events, hub_s, engine_s) ->
       let eps dt = float_of_int events /. dt in
-      Format.printf "%-10d | %8d | %12.3e | %12.3e | %12.3e | %7.2fx@." n
-        events (eps hub_s) (eps views_s) (eps engine_s)
+      Format.printf "%-10d | %8d | %12.3e | %12.3e | %7.2fx@." n events
+        (eps hub_s) (eps engine_s)
         (eps engine_s /. eps hub_s))
     rows;
   let at64 =
     List.find_map
-      (fun (n, _, hub_s, _, engine_s) ->
+      (fun (n, _, hub_s, engine_s) ->
         if n = 64 then Some (hub_s /. engine_s) else None)
       rows
   in
@@ -526,21 +519,19 @@ let flat_table () =
         s
   | None -> ());
   let oc = open_out "BENCH_flat_table.json" in
-  let row_json (n, events, hub_s, views_s, engine_s) =
+  let row_json (n, events, hub_s, engine_s) =
     let eps dt = float_of_int events /. dt in
     Printf.sprintf
       {|    { "checkers": %d, "events": %d,
       "hub_compiled": { "seconds": %.6f, "events_per_sec": %.1f },
-      "flat_views": { "seconds": %.6f, "events_per_sec": %.1f },
       "flat_engine": { "seconds": %.6f, "events_per_sec": %.1f },
       "speedup_vs_compiled": %.2f }|}
-      n events hub_s (eps hub_s) views_s (eps views_s) engine_s
-      (eps engine_s)
+      n events hub_s (eps hub_s) engine_s (eps engine_s)
       (hub_s /. engine_s)
   in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"flat_table\",\n  \"workload\": \"N disjoint {a_i, \
-     b_i} <<! go_i checkers, round-robin satisfying stream, three \
+     b_i} <<! go_i checkers, round-robin satisfying stream, two \
      hostings\",\n  %s,\n  \"meets_2x_at_64\": %b,\n  \"hosted_dispatch\": \
      [\n%s\n  ]\n}\n"
     (provenance_json ~backend:"flat")

@@ -25,7 +25,7 @@ let pattern_arg =
 (* ---- backend selection ------------------------------------------------ *)
 
 let backend_kind_arg =
-  (* The shared description lives in [Cli_doc] so check/suite/serve
+  (* The shared description lives in [Cli_doc] so check/suite/soc
      can't drift apart and the test suite can pin it. *)
   let doc = Cli_doc.backend_doc in
   Cmdliner.Arg.(
@@ -1123,8 +1123,8 @@ let parse_addr flag s =
 
 let serve_cmd =
   let run file socket lateness window checkpoint checkpoint_every resume
-      strict_reorder ooo final_time backend_kind metrics_addr stats_interval
-      trace_out profile_out latency_sample_rate =
+      strict_reorder ooo final_time metrics_addr stats_interval trace_out
+      profile_out latency_sample_rate =
     let addr_result =
       match metrics_addr with
       | None -> Ok None
@@ -1141,10 +1141,7 @@ let serve_cmd =
         let input =
           match socket with Some path -> `Socket path | None -> `Stdin
         in
-        Loseq_ingest.Server.serve ?metrics_addr ~stats_interval
-          ~backend:(factory_of backend_kind)
-          ?suite_backend:(suite_factory_of backend_kind)
-          ~lateness ~window ?checkpoint ~checkpoint_every ~resume
+        Loseq_ingest.Server.serve ?metrics_addr ~stats_interval ~lateness ~window ?checkpoint ~checkpoint_every ~resume
           ~strict_reorder ~ooo ?final_time ?trace_out ?profile_out
           ?latency_sample_rate ~input suite
   in
@@ -1297,8 +1294,8 @@ let serve_cmd =
     Term.(
       const run $ file $ socket $ lateness $ window $ checkpoint
       $ checkpoint_every $ resume $ strict_reorder $ ooo $ final_time
-      $ backend_kind_arg $ metrics_addr $ stats_interval $ trace_out
-      $ profile_out $ latency_sample_rate)
+      $ metrics_addr $ stats_interval $ trace_out $ profile_out
+      $ latency_sample_rate)
 
 let convert_cmd =
   let run input output to_format =
@@ -1633,8 +1630,8 @@ let stats_cmd =
 
 let trace_cmd =
   let module Tr = Loseq_obs.Trace in
-  let run file trace_file out profile_out lateness backend_kind
-      latency_sample_rate final_time =
+  let run file trace_file out profile_out lateness latency_sample_rate
+      final_time =
     match (Loseq_verif.Suite.load file, read_trace trace_file) with
     | Error e, _ ->
         Format.eprintf "%a@." Loseq_verif.Suite.pp_error e;
@@ -1646,10 +1643,8 @@ let trace_cmd =
         let metrics = Obs.create () in
         let tr = Tr.create () in
         match
-          Loseq_ingest.Session.create ~metrics ~trace:tr
-            ~backend:(factory_of backend_kind)
-            ?suite_backend:(suite_factory_of backend_kind)
-            ?latency_sample_rate ~lateness suite
+          Loseq_ingest.Session.create ~metrics ~trace:tr ?latency_sample_rate
+            ~lateness suite
         with
         | exception Wellformed.Ill_formed (p, errs) ->
             Format.eprintf "ill-formed pattern %a:@ %a@." Pattern.pp p
@@ -1778,7 +1773,7 @@ let trace_cmd =
          ])
     Term.(
       const run $ file $ trace_file $ out $ profile_out $ lateness
-      $ backend_kind_arg $ latency_sample_rate $ final_time)
+      $ latency_sample_rate $ final_time)
 
 (* ---- explain-verdict --------------------------------------------------- *)
 

@@ -19,12 +19,11 @@ type t = {
   ops : (unit -> int) option;
   persist : (unit -> Compiled.persisted) option;
   restore : (Compiled.persisted -> unit) option;
-  engine : Flat.t option;
 }
 
 let make ~label ~pattern ?alphabet ~step ?prepare ?check_time ?next_deadline
     ?finalize ~verdict ~reset ?states ?acceptable ?ops ?persist ?restore
-    ?engine () =
+    () =
   let alphabet =
     match alphabet with Some a -> a | None -> Pattern.alpha pattern
   in
@@ -58,7 +57,6 @@ let make ~label ~pattern ?alphabet ~step ?prepare ?check_time ?next_deadline
     ops;
     persist;
     restore;
-    engine;
   }
 
 type factory = Pattern.t -> t
@@ -141,9 +139,7 @@ let lift_flat eng ck = function
       Violated (violation_of_flat eng ck ~reason ~time ~index)
 
 (* One checker of a shared engine, behind the per-checker contract:
-   every closure indexes the engine's packed table.  Hosts that know
-   about engines ([Hub.host_flat], checkpoint blobs) recognize the
-   sharing through the [engine] capability. *)
+   every closure indexes the engine's packed table. *)
 let flat_view eng ck =
   let verdict () = lift_flat eng ck (Flat.verdict eng ck) in
   make ~label:"flat"
@@ -170,7 +166,7 @@ let flat_view eng ck =
     ~reset:(fun () -> Flat.reset_checker eng ck)
     ~persist:(fun () -> Flat.persist_checker eng ck)
     ~restore:(fun p -> Flat.restore_checker eng ck p)
-    ~engine:eng ()
+    ()
 
 let flat_suite entries =
   let eng = Flat.compile entries in
@@ -254,8 +250,6 @@ let tri_to_string = function
   | Unsettled -> "unsettled"
 
 let pp_tri ppf t = Format.pp_print_string ppf (tri_to_string t)
-
-let supports_rollback t = t.persist <> None && t.restore <> None
 
 let pp_verdict ppf = function
   | Running -> Format.pp_print_string ppf "pass (running)"

@@ -69,12 +69,6 @@ type t = {
   restore : (Compiled.persisted -> unit) option;
       (** Overwrite the run state with a {!t.persist}ed one (compiled
           and flat backends; same-pattern monitors). *)
-  engine : Flat.t option;
-      (** The shared suite engine this backend is a view of (flat
-          backend only).  Hosts that can exploit suite-level sharing —
-          engine-direct dispatch, one-blob checkpoints — discover it
-          here; everyone else treats the view as an ordinary
-          per-checker backend. *)
 }
 
 val make :
@@ -93,7 +87,6 @@ val make :
   ?ops:(unit -> int) ->
   ?persist:(unit -> Compiled.persisted) ->
   ?restore:(Compiled.persisted -> unit) ->
-  ?engine:Flat.t ->
   unit ->
   t
 (** Build a backend, defaulting the optional operations: [alphabet]
@@ -126,7 +119,8 @@ type suite_factory = (string * Pattern.t) list -> t array
 val flat_suite : (string * Pattern.t) list -> Flat.t * t array
 (** Compile the whole suite into one {!Flat} engine and return it with
     one backend view per entry (label ["flat"]).  The views share the
-    engine's packed state array; each also carries it in {!t.engine}. *)
+    engine's packed state array — what {!Loseq_verif.Hub.host_flat}
+    takes to host the suite engine-direct. *)
 
 val flat_views : suite_factory
 (** {!flat_suite} without the engine handle — what generic
@@ -204,10 +198,6 @@ val tri_to_string : tri -> string
 (** ["pass"], ["fail"] or ["unsettled"]. *)
 
 val pp_tri : Format.formatter -> tri -> unit
-
-val supports_rollback : t -> bool
-(** Both {!t.persist} and {!t.restore} present — the capability a
-    snapshot/rollback host requires (compiled and flat backends). *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 (** ["pass (running)"], ["pass (satisfied)"] or ["FAIL: ..."] — the

@@ -5,13 +5,19 @@ let backend_doc =
    construction, richest diagnostics), $(b,compiled) (flat-table \
    fast path, the default), $(b,flat) (whole-suite table engine: \
    every checker's state packed into one array, one shared \
-   dispatch — the fastest hosted path), or $(b,psl) (formula \
+   dispatch — what $(b,serve) and $(b,trace) always host on), or \
+   $(b,psl) (formula \
    progression over the Section-5 PSL translation; rejects wide \
    ranges and checks timed patterns without their quantitative \
    deadline)."
 
 let serve_modes_doc =
-  "Two hosting modes. The default buffered mode parks events in a \
+  "The suite is always hosted on one flat suite engine (every \
+   checker's state in one array, one dispatch row per event name), so \
+   serve takes no $(b,--backend); checkpoints are written in format \
+   version 2 (one engine blob) and version-1 files of earlier releases \
+   still resume. Two hosting modes share one stream loop and differ \
+   only in admission. The default buffered mode parks events in a \
    watermark reorder buffer for up to $(b,--lateness) ticks and \
    delivers them in timestamp order — verdicts are exact but lag the \
    stream by K. With $(b,--ooo) the speculative engine applies every \

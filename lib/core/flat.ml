@@ -414,11 +414,11 @@ let names t = t.names
 let gid_of_name t nm = Hashtbl.find_opt t.gids nm
 
 let local_of_name t ck nm =
-  match Hashtbl.find_opt t.gids nm with
-  | None -> -1
-  | Some gid ->
-      let l = t.loc_of_gid.((ck * Array.length t.names) + gid) in
-      l
+  (* [find], not [find_opt]: this runs once per view step, and the
+     option would be an allocation on every one *)
+  match Hashtbl.find t.gids nm with
+  | gid -> t.loc_of_gid.((ck * Array.length t.names) + gid)
+  | exception Not_found -> -1
 
 let timed_checkers t = t.timed_cks
 let deadline_generation t = t.dl_gen

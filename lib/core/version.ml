@@ -1,1 +1,1 @@
-let current = "1.9.0"
+let current = "2.0.0"

@@ -3,193 +3,72 @@ open Loseq_verif
 
 let format_name = "loseq-checkpoint"
 
-(* Version 1: per-checker JSON states (any persistable backend).
-   Version 2: one base64 engine blob + interning table (flat suite
-   engine) — resume cost no longer scales with checker count.  Both
-   are written and read: the session's hosting decides which. *)
-let format_version = 1
-let blob_format_version = 2
+(* Version 2, the one written: the suite engine's state as one base64
+   blob plus the interning table that pins its layout — capture cost
+   does not scale with checker count.  Version 1 (one persisted JSON
+   state per checker, written by per-checker hosting in earlier
+   releases) is still read: each state is imported into its slot of
+   the engine. *)
+let format_version = 2
+let v1_format_version = 1
 
 (* ---- capture ----------------------------------------------------------- *)
-
-let json_of_range (r : Pattern.range) =
-  Json.Obj
-    [
-      ("name", Json.String (Name.to_string r.name));
-      ("lo", Json.Int r.lo);
-      ("hi", Json.Int r.hi);
-    ]
-
-let json_of_reason (r : Diag.reason) =
-  let tag t = [ ("tag", Json.String t) ] in
-  let with_range t range = Json.Obj (tag t @ [ ("range", json_of_range range) ]) in
-  match r with
-  | Diag.Before_name -> Json.Obj (tag "before_name")
-  | After_name -> Json.Obj (tag "after_name")
-  | Overflow range -> with_range "overflow" range
-  | Underflow range -> with_range "underflow" range
-  | Reentered range -> with_range "reentered" range
-  | Missing range -> with_range "missing" range
-  | Empty_fragment -> Json.Obj (tag "empty_fragment")
-  | Trigger_early -> Json.Obj (tag "trigger_early")
-  | Deadline_miss { started; deadline; now } ->
-      Json.Obj
-        (tag "deadline_miss"
-        @ [
-            ("started", Json.Int started);
-            ("deadline", Json.Int deadline);
-            ("now", Json.Int now);
-          ])
-  | Late_conclusion { deadline; at } ->
-      Json.Obj
-        (tag "late_conclusion"
-        @ [ ("deadline", Json.Int deadline); ("at", Json.Int at) ])
-  | Foreign name ->
-      Json.Obj (tag "foreign" @ [ ("name", Json.String (Name.to_string name)) ])
-  | Formula_falsified -> Json.Obj (tag "formula_falsified")
-
-let json_of_verdict (v : Compiled.verdict) =
-  match v with
-  | Compiled.Running -> Json.Obj [ ("status", Json.String "running") ]
-  | Satisfied -> Json.Obj [ ("status", Json.String "satisfied") ]
-  | Violated { reason; time; index } ->
-      Json.Obj
-        [
-          ("status", Json.String "violated");
-          ("reason", json_of_reason reason);
-          ("time", Json.Int time);
-          ("index", Json.Int index);
-        ]
-
-let json_of_rec_state (s : Compiled.rec_state) =
-  match s with
-  | Compiled.Idle -> Json.String "idle"
-  | Waiting -> Json.String "waiting"
-  | Started -> Json.String "started"
-  | Done -> Json.String "done"
-  | Counting n -> Json.Obj [ ("counting", Json.Int n) ]
-
-let json_of_persisted (p : Compiled.persisted) =
-  Json.Obj
-    [
-      ( "recs",
-        Json.List (Array.to_list (Array.map json_of_rec_state p.p_recs)) );
-      ("active", Json.Int p.p_active);
-      ("index", Json.Int p.p_index);
-      ("started", Json.Int p.p_started);
-      ("q_done", Json.Bool p.p_q_done);
-      ("rounds", Json.Int p.p_rounds);
-      ("verdict", json_of_verdict p.p_verdict);
-    ]
 
 let json_of_event (e : Trace.event) =
   Json.Obj
     [ ("name", Json.String (Name.to_string e.name)); ("time", Json.Int e.time) ]
 
-(* All checkers hosted as views of one shared flat engine?  Then the
-   whole suite's run state is one blob. *)
-let shared_engine checkers =
-  match checkers with
-  | [] -> None
-  | first :: rest -> (
-      match (Checker.backend first).Backend.engine with
-      | None -> None
-      | Some eng ->
-          if
-            List.for_all
-              (fun c ->
-                match (Checker.backend c).Backend.engine with
-                | Some e -> e == eng
-                | None -> false)
-              rest
-          then Some eng
-          else None)
-
-let common_fields ~version session =
+let capture session =
   let stats = Session.stats session in
   let reorder = Session.reorder session in
-  [
-    ("format", Json.String format_name);
-    ("version", Json.Int version);
-    ("suite", Json.String (Suite.to_string (Session.suite session)));
-    ("lateness", Json.Int (Session.lateness session));
-    ("window", Json.Int (Session.window session));
-    ( "position",
-      Json.Obj
-        [
-          ("accepted", Json.Int stats.accepted);
-          ("delivered", Json.Int stats.delivered);
-          ("forced", Json.Int stats.forced);
-          ("now", Json.Int (Session.now session));
-        ] );
-    ( "reorder",
-      Json.Obj
-        [
-          ("max_seen", Json.Int (Reorder.max_seen reorder));
-          ("released", Json.Int (Reorder.released reorder));
-          ("dropped_late", Json.Int (Reorder.dropped_late reorder));
-          ("reordered", Json.Int (Reorder.reordered reorder));
-          ( "pending",
-            Json.List (List.map json_of_event (Reorder.pending reorder)) );
-        ] );
-  ]
-
-let capture session =
-  let checkers = Hub.checkers (Session.hub session) in
-  match shared_engine checkers with
-  | Some eng ->
-      (* v2: the engine's packed state array, base64, plus the
-         interning table that pins its layout.  [events_seen] is
-         checker bookkeeping, not engine state, so it rides alongside. *)
-      Json.Obj
-        (common_fields ~version:blob_format_version session
-        @ [
-            ("engine", Json.String "flat");
-            ("blob_version", Json.Int Flat.blob_version);
-            ( "names",
-              Json.List
-                (Array.to_list
-                   (Array.map
-                      (fun n -> Json.String (Name.to_string n))
-                      (Flat.names eng))) );
-            ("blob", Json.String (B64.encode (Flat.save_blob eng)));
-            ( "checkers",
-              Json.List
-                (List.map
-                   (fun c ->
-                     Json.Obj
-                       [
-                         ("name", Json.String (Checker.name c));
-                         ("events_seen", Json.Int (Checker.events_seen c));
-                       ])
-                   checkers) );
-          ])
-  | None ->
-      let checker_states =
-        List.map
-          (fun c ->
-            let backend = Checker.backend c in
-            let persisted =
-              match backend.Backend.persist with
-              | Some persist -> persist ()
-              | None ->
-                  failwith
-                    (Printf.sprintf
-                       "checker %S: backend %S has no persistence capability \
-                        (checkpointing requires the compiled or flat backend)"
-                       (Checker.name c) backend.Backend.label)
-            in
-            Json.Obj
-              [
-                ("name", Json.String (Checker.name c));
-                ("events_seen", Json.Int (Checker.events_seen c));
-                ("state", json_of_persisted persisted);
-              ])
-          checkers
-      in
-      Json.Obj
-        (common_fields ~version:format_version session
-        @ [ ("checkers", Json.List checker_states) ])
+  let eng = Session.engine session in
+  Json.Obj
+    [
+      ("format", Json.String format_name);
+      ("version", Json.Int format_version);
+      ("suite", Json.String (Suite.to_string (Session.suite session)));
+      ("lateness", Json.Int (Session.lateness session));
+      ("window", Json.Int (Session.window session));
+      ( "position",
+        Json.Obj
+          [
+            ("accepted", Json.Int stats.accepted);
+            ("delivered", Json.Int stats.delivered);
+            ("forced", Json.Int stats.forced);
+            ("now", Json.Int (Session.now session));
+          ] );
+      ( "reorder",
+        Json.Obj
+          [
+            ("max_seen", Json.Int (Reorder.max_seen reorder));
+            ("released", Json.Int (Reorder.released reorder));
+            ("dropped_late", Json.Int (Reorder.dropped_late reorder));
+            ("reordered", Json.Int (Reorder.reordered reorder));
+            ( "pending",
+              Json.List (List.map json_of_event (Reorder.pending reorder)) );
+          ] );
+      ("engine", Json.String "flat");
+      ("blob_version", Json.Int Flat.blob_version);
+      ( "names",
+        Json.List
+          (Array.to_list
+             (Array.map
+                (fun n -> Json.String (Name.to_string n))
+                (Flat.names eng))) );
+      ("blob", Json.String (B64.encode (Flat.save_blob eng)));
+      (* [events_seen] is checker bookkeeping, not engine state, so it
+         rides alongside the blob *)
+      ( "checkers",
+        Json.List
+          (List.map
+             (fun c ->
+               Json.Obj
+                 [
+                   ("name", Json.String (Checker.name c));
+                   ("events_seen", Json.Int (Checker.events_seen c));
+                 ])
+             (Hub.checkers (Session.hub session))) );
+    ]
 
 (* ---- restore ----------------------------------------------------------- *)
 
@@ -290,39 +169,37 @@ let persisted_of_json json : Compiled.persisted =
 let event_of_json json : Trace.event =
   { name = Name.v (string_exn "name" json); time = int_exn "time" json }
 
-(* v1 body: one persisted JSON state per checker, restored through the
-   backend's restore capability. *)
+(* The engine slot of a checkpoint's checker record, by suite label. *)
+let checker_index eng name =
+  let rec find ck =
+    if ck = Flat.size eng then
+      bad "checkpoint names checker %S, not in this suite" name
+    else if Flat.label eng ck = name then ck
+    else find (ck + 1)
+  in
+  find 0
+
+(* v1 import: one persisted JSON state per checker, each written into
+   its slot of the suite engine. *)
 let restore_checkers_v1 session json =
-  let checkers = Hub.checkers (Session.hub session) in
+  let eng = Session.engine session in
+  let checkers = Array.of_list (Hub.checkers (Session.hub session)) in
   List.iter
     (fun cj ->
       let name = string_exn "name" cj in
-      let checker =
-        match List.find_opt (fun c -> Checker.name c = name) checkers with
-        | Some c -> c
-        | None -> bad "checkpoint names checker %S, not in this suite" name
-      in
-      let backend = Checker.backend checker in
-      let restore =
-        match backend.Backend.restore with
-        | Some f -> f
-        | None ->
-            bad "checker %S: backend %S has no restore capability" name
-              backend.Backend.label
-      in
-      let persisted = persisted_of_json (member_exn "state" cj) in
-      (match restore persisted with
+      let ck = checker_index eng name in
+      (match
+         Flat.restore_checker eng ck (persisted_of_json (member_exn "state" cj))
+       with
       | () -> ()
       | exception Invalid_argument msg ->
           bad "checker %S: state does not fit its monitor: %s" name msg);
-      Checker.restore_meta checker ~events_seen:(int_exn "events_seen" cj))
+      Checker.restore_meta checkers.(ck)
+        ~events_seen:(int_exn "events_seen" cj))
     (list_exn "checkers" json)
 
-(* v2 body: one engine blob.  A flat-hosted session loads it straight
-   into its shared engine; any other hosting decodes into a scratch
-   engine compiled from the same suite and bridges each checker through
-   the persisted form — so compiled-written checkpoints resume under
-   flat and vice versa. *)
+(* v2 body: the blob loads straight into the session's engine once its
+   interning table matches. *)
 let restore_checkers_v2 session json =
   (match string_exn "engine" json with
   | "flat" -> ()
@@ -343,70 +220,33 @@ let restore_checkers_v2 session json =
         | _ -> bad "checkpoint: field \"names\" must hold strings")
       (list_exn "names" json)
   in
-  let events_seen_of =
-    let table =
-      List.map
-        (fun cj -> (string_exn "name" cj, int_exn "events_seen" cj))
-        (list_exn "checkers" json)
-    in
-    fun name ->
-      match List.assoc_opt name table with
-      | Some n -> n
-      | None -> bad "checkpoint has no checker record for %S" name
+  let events_seen =
+    List.map
+      (fun cj -> (string_exn "name" cj, int_exn "events_seen" cj))
+      (list_exn "checkers" json)
   in
-  let checkers = Hub.checkers (Session.hub session) in
-  let shared = shared_engine checkers in
-  let eng =
-    match shared with
-    | Some eng -> eng
-    | None ->
-        Flat.compile
-          (List.map
-             (fun (e : Suite.entry) -> (e.label, e.pattern))
-             (Session.suite session))
-  in
-  let engine_names =
-    Array.to_list (Array.map Name.to_string (Flat.names eng))
-  in
-  if stored_names <> engine_names then
-    bad "checkpoint interning table does not match this suite's alphabet";
+  let eng = Session.engine session in
+  if stored_names <> Array.to_list (Array.map Name.to_string (Flat.names eng))
+  then bad "checkpoint interning table does not match this suite's alphabet";
   (match Flat.load_blob eng blob with
   | Ok () -> ()
   | Error msg -> bad "%s" msg);
-  let checker_named name =
-    match List.find_opt (fun c -> Checker.name c = name) checkers with
-    | Some c -> c
-    | None -> bad "checkpoint names checker %S, not in this suite" name
-  in
-  for ck = 0 to Flat.size eng - 1 do
-    let name = Flat.label eng ck in
-    let checker = checker_named name in
-    (match shared with
-    | Some _ -> () (* the blob load above already is this checker's state *)
-    | None -> (
-        let backend = Checker.backend checker in
-        let restore =
-          match backend.Backend.restore with
-          | Some f -> f
-          | None ->
-              bad "checker %S: backend %S has no restore capability" name
-                backend.Backend.label
-        in
-        match restore (Flat.persist_checker eng ck) with
-        | () -> ()
-        | exception Invalid_argument msg ->
-            bad "checker %S: state does not fit its monitor: %s" name msg));
-    Checker.restore_meta checker ~events_seen:(events_seen_of name)
-  done
+  List.iteri
+    (fun ck checker ->
+      let name = Flat.label eng ck in
+      match List.assoc_opt name events_seen with
+      | Some n -> Checker.restore_meta checker ~events_seen:n
+      | None -> bad "checkpoint has no checker record for %S" name)
+    (Hub.checkers (Session.hub session))
 
 let restore_exn session json =
   (match string_exn "format" json with
   | s when s = format_name -> ()
   | s -> bad "not a loseq checkpoint (format %S)" s);
   let version = int_exn "version" json in
-  if version <> format_version && version <> blob_format_version then
+  if version <> format_version && version <> v1_format_version then
     bad "unsupported checkpoint version %d (expected %d or %d)" version
-      format_version blob_format_version;
+      format_version v1_format_version;
   let stored_suite = string_exn "suite" json in
   let this_suite = Suite.to_string (Session.suite session) in
   if stored_suite <> this_suite then
@@ -419,7 +259,7 @@ let restore_exn session json =
   (* Monitor states first, then time: the hub's wheel is re-armed from
      the restored states, and advancing a fresh session's kernel fires
      nothing (no deadline is armed in an initial state). *)
-  if version = blob_format_version then restore_checkers_v2 session json
+  if version = format_version then restore_checkers_v2 session json
   else restore_checkers_v1 session json;
   (match
      Reorder.restore (Session.reorder session)
@@ -451,20 +291,17 @@ let restore session json =
 (* ---- files ------------------------------------------------------------- *)
 
 let save ~path session =
-  match capture session with
-  | exception Failure msg -> Error msg
-  | json -> (
-      let data = Json.to_string json in
-      let tmp = path ^ ".tmp" in
-      match open_out_bin tmp with
-      | exception Sys_error msg -> Error msg
-      | oc -> (
-          output_string oc data;
-          output_char oc '\n';
-          close_out oc;
-          match Sys.rename tmp path with
-          | () -> Ok (String.length data + 1)
-          | exception Sys_error msg -> Error msg))
+  let data = Json.to_string (capture session) in
+  let tmp = path ^ ".tmp" in
+  match open_out_bin tmp with
+  | exception Sys_error msg -> Error msg
+  | oc -> (
+      output_string oc data;
+      output_char oc '\n';
+      close_out oc;
+      match Sys.rename tmp path with
+      | () -> Ok (String.length data + 1)
+      | exception Sys_error msg -> Error msg)
 
 let load ~path =
   match open_in_bin path with
@@ -482,16 +319,15 @@ let position json =
   | n -> Ok n
   | exception Bad msg -> Error msg
 
-let resume ?metrics ?trace ?backend ?suite_backend ?latency_sample_rate ~path
-    suite =
+let resume ?metrics ?trace ?latency_sample_rate ~path suite =
   match load ~path with
   | Error _ as err -> err
   | Ok json -> (
       match
         let lateness = int_exn "lateness" json
         and window = int_exn "window" json in
-        Session.create ?metrics ?trace ?backend ?suite_backend
-          ?latency_sample_rate ~lateness ~window suite
+        Session.create ?metrics ?trace ?latency_sample_rate ~lateness ~window
+          suite
       with
       | exception Bad msg -> Error msg
       | session -> (

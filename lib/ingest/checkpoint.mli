@@ -8,17 +8,13 @@
     them earlier than the uninterrupted run would have), and the exact
     run state of every hosted monitor.
 
-    Two on-disk versions coexist.  Version 1 carries one persisted
-    JSON state per checker (via the backend persistence capability,
-    {!Loseq_core.Backend.t.persist}).  Version 2 is written when every
-    hosted checker is a view of one shared {!Loseq_core.Flat} suite
-    engine: the entire suite's run state is a single base64 blob plus
-    the interning table that pins its layout, so capture/restore cost
-    stops scaling with checker count.  Restore accepts either version
-    under either hosting — a compiled-written checkpoint resumes under
-    the flat backend and vice versa (the blob is decoded into a
-    scratch engine and bridged per checker when the session is not
-    flat-hosted).
+    The session's whole suite runs on one {!Loseq_core.Flat} engine,
+    so the monitor state is a single base64 blob plus the interning
+    table that pins its layout (format version 2, the only one
+    written): capture/restore cost does not scale with checker count.
+    Version 1 files — one persisted JSON state per checker, written by
+    the per-checker hosting of earlier releases — are still read: each
+    state is imported into its checker's slot of the engine.
 
     The resume contract is replay-based: the producer re-sends the
     stream from the start and the consumer skips the first
@@ -32,16 +28,15 @@
 open Loseq_core
 
 val capture : Session.t -> Json.t
-(** Version 2 (one engine blob) when the session is flat-hosted,
-    version 1 (per-checker states) otherwise.  Raises [Failure] if a
-    hosted checker's backend lacks the persistence capability. *)
+(** A version-2 document: the engine blob and the stream state. *)
 
 val restore : Session.t -> Json.t -> (unit, string) result
 (** Overwrite a {e fresh} session (no events offered) with a captured
-    state, either version.  Fails on schema/version mismatch
-    (including a flat blob of an unsupported [blob_version], reported
-    as a clear error, not a decode exception), a different suite, a
-    non-fresh session, or a backend without the restore capability.
+    state, version 2 or an imported version 1.  Fails on
+    schema/version mismatch (including a flat blob of an unsupported
+    [blob_version], reported as a clear error, not a decode
+    exception), a different suite, a non-fresh session, or a v1 state
+    that does not fit its checker.
     On success the session's kernel is advanced to the checkpointed
     time and the hub's deadline wheel is re-armed. *)
 
@@ -59,15 +54,11 @@ val position : Json.t -> (int, string) result
 val resume :
   ?metrics:Loseq_obs.Metrics.t ->
   ?trace:Loseq_obs.Trace.t ->
-  ?backend:Backend.factory ->
-  ?suite_backend:Backend.suite_factory ->
   ?latency_sample_rate:int ->
   path:string ->
   Loseq_verif.Suite.t ->
   (Session.t, string) result
 (** [load], create a session with the checkpoint's lateness/window
     (and, like {!Session.create}, an optional live [metrics] sink,
-    [trace] flight recorder, sampling rate, and backend choice),
-    [restore].  The checkpoint's version and the
-    session's hosting are independent: any persistable [backend] or
-    [suite_backend] resumes either version. *)
+    [trace] flight recorder and sampling rate), [restore].  Either
+    version resumes. *)

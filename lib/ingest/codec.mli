@@ -34,6 +34,11 @@ open Loseq_core
 val magic : string
 (** ["LSQB\x01"] — 4 format bytes plus a version byte. *)
 
+val max_names : int
+(** The most define records one stream may carry ([65536]): the
+    decoder's name table lives as long as the stream, so it is bounded.
+    The define past the cap is a decode error. *)
+
 val looks_binary : string -> bool
 (** Does [s] start with (a prefix of) {!magic}?  True on the empty
     string only when it could still become a binary stream. *)
@@ -91,8 +96,9 @@ module Decoder : sig
     (unit, string) result
   (** Consume one chunk, invoking [emit] for every event completed by
       it.  Partial records are buffered across calls; chunk boundaries
-      are arbitrary.  Errors (bad magic, unknown tag, invalid name, id
-      out of range, count mismatch, data after the end record) are
+      are arbitrary.  Errors (bad magic, unknown tag, invalid name,
+      more than {!max_names} defines, id out of range, a timestamp past
+      [max_int], count mismatch, data after the end record) are
       sticky: every later call fails with the same message. *)
 
   val finish : t -> (unit, string) result

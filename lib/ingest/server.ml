@@ -301,7 +301,7 @@ let make_server_obs metrics =
             ~help:"Checkpoint files written" ();
       }
 
-(* ---- the serve loop ---------------------------------------------------- *)
+(* ---- input and endpoint plumbing --------------------------------------- *)
 
 let open_input = function
   | `Stdin -> (Unix.stdin, None)
@@ -314,13 +314,10 @@ let open_input = function
       Unix.close listener;
       (conn, Some (fun () -> Unix.close conn; if Sys.file_exists path then Sys.remove path))
 
-(* ---- hosting-loop helpers ----------------------------------------------
-
-   Both hosting modes — the buffered reorder path and the speculative
-   [--ooo] path — share the same plumbing: an optional HTTP metrics
-   endpoint multiplexed into the read loop, a chunked input pump, and a
-   post-summary linger that keeps the endpoint answering until SIGTERM.
-   Extracted here so the modes differ only in what an event does. *)
+(* The serve loop's plumbing: an optional HTTP metrics endpoint
+   multiplexed into the read loop, a chunked input pump, and a
+   post-summary linger that keeps the endpoint answering until
+   SIGTERM. *)
 
 let with_http ~out ~metrics_addr f =
   let http =
@@ -472,14 +469,14 @@ let write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out ~checkers =
 (* The minimal causal chain behind a failed verdict, attached to its
    NDJSON record: the frozen provenance ring, delta-debugged down to
    1-minimality against the entry's own pattern. *)
-let provenance_field ?backend ~prov ~final_time ~pattern_of name passed =
+let provenance_field ~prov ~final_time ~pattern_of name passed =
   if passed then []
   else
     match pattern_of name with
     | None -> []
     | Some pattern ->
         let chain =
-          Provenance.minimize ?backend ~final_time ~label:name pattern
+          Provenance.minimize ~final_time ~label:name pattern
             (Provenance.captured prov name)
         in
         [
@@ -489,238 +486,115 @@ let provenance_field ?backend ~prov ~final_time ~pattern_of name passed =
               chain );
         ]
 
-(* ---- buffered hosting (the default mode) ------------------------------- *)
+let ill_formed p errs =
+  Format.asprintf "ill-formed pattern %a:@ %a" Pattern.pp p
+    (Format.pp_print_list Wellformed.pp_error)
+    errs
 
-let serve_buffered ~metrics ~metrics_addr ~stats_interval ?backend
-    ?suite_backend ~lateness ~window ?checkpoint ~checkpoint_every ~resume
-    ~strict_reorder ?final_time ~trace ~trace_out ~profile_out
-    ?latency_sample_rate ~out ~input suite =
-  let error msg = error_record out msg in
-  let resuming =
-    resume
-    && match checkpoint with Some p -> Sys.file_exists p | None -> false
-  in
+(* ---- admission front ends ----------------------------------------------
+
+   One serve loop reads, decodes and reports; the front end decides
+   what an admitted event does.  The buffered front end offers it to a
+   {!Session} — reorder buffer, checkpoints, resume.  The speculative
+   one ([--ooo]) applies it on arrival through {!Loseq_ooo.Engine} and
+   repairs by rollback when a late one lands.  The wire protocol is the
+   same — start, violations, verdicts, summary, the same exit codes;
+   speculative runs add the violation records' ["speculative"] flag and
+   the [retracted]/[settled] records, and their final verdict records
+   are byte-identical to the buffered mode's. *)
+
+type front = {
+  lateness : int;
+  certificate : unit -> Loseq_analysis.Robust.certificate;
+  prov : Provenance.t;
+  skip : int;  (* leading stream events a resumed session already holds *)
+  start : (string * Json.t) list;  (* mode members of the start record *)
+  admit : Trace.event -> unit;
+  position : unit -> int;  (* the stats and checkpoint clock *)
+  counters : unit -> (string * Json.t) list;  (* stats record members *)
+  checkpoint : string -> (int, string) result;
+  finish : unit -> (string * Backend.verdict) list * string list * int;
+      (* end of stream: verdicts, their renderings, the final time *)
+  summary : unit -> (string * Json.t) list;
+      (* summary record members after ["passed"] *)
+}
+
+let buffered ~metrics ~trace ~lateness ~window ~resume_from
+    ?latency_sample_rate ?final_time ~out suite =
   let session_result =
-    if resuming then
-      Checkpoint.resume ~metrics ~trace ?backend ?suite_backend
-        ?latency_sample_rate ~path:(Option.get checkpoint) suite
-    else
-      match
-        Session.create ~metrics ~trace ?backend ?suite_backend
-          ?latency_sample_rate ~lateness ~window suite
-      with
-      | s -> Ok s
-      | exception Wellformed.Ill_formed (p, errs) ->
-          Error
-            (Format.asprintf "ill-formed pattern %a:@ %a" Pattern.pp p
-               (Format.pp_print_list Wellformed.pp_error)
-               errs)
+    match resume_from with
+    | Some path ->
+        Checkpoint.resume ~metrics ~trace ?latency_sample_rate ~path suite
+    | None -> (
+        match
+          Session.create ~metrics ~trace ?latency_sample_rate ~lateness
+            ~window suite
+        with
+        | s -> Ok s
+        | exception Wellformed.Ill_formed (p, errs) ->
+            Error (ill_formed p errs))
   in
-  match session_result with
-  | Error msg -> error msg
-  | Ok session -> (
-      match
-        reorder_gate ~lateness:(Session.lateness session) ~strict_reorder ~out
-          (fun () -> Session.reorder_certificate session)
-      with
-      | Error msg -> error msg
-      | Ok () -> (
-      let srv_obs = make_server_obs metrics in
+  Result.map
+    (fun session ->
       (* Always-on verdict provenance: tap-level capture is one bounded
          ring push per alphabet event, and pays for itself the first
          time a Fail needs explaining. *)
       let prov = Provenance.create (Hub.tap (Session.hub session)) suite in
-      let pattern_of name =
-        List.find_map
-          (fun (e : Suite.entry) ->
-            if String.equal e.label name then Some e.pattern else None)
-          suite
-      in
-      (* Server-track flight-recorder categories: the admission span
-         around each input chunk and the checkpoint-write span. *)
-      let trc =
-        if Tr.is_live trace then
-          Some
-            ( Tr.intern trace ~track:"ingest" "admit",
-              Tr.intern trace ~track:"ingest" "checkpoint" )
-        else None
-      in
-      let skip = Session.position session in
       Session.on_violation session (fun ~name v ->
           Provenance.note_violation prov ~label:name v;
           emit_record out (violation_record ~name v));
-      let offered = ref 0 in
-      let save_checkpoint () =
-        match checkpoint with
-        | None -> Ok false
-        | Some path -> (
-            (match trc with
-            | Some (_, ckpt) -> Tr.emit trace ckpt Tr.Span_begin 0
-            | None -> ());
-            match Checkpoint.save ~path session with
-            | Ok bytes ->
-                (match trc with
-                | Some (_, ckpt) -> Tr.emit trace ckpt Tr.Span_end bytes
-                | None -> ());
-                (match srv_obs with Some o -> Obs.incr o.ckpt | None -> ());
-                emit_record out
-                  (Json.Obj
-                     [
-                       ("type", Json.String "checkpoint");
-                       ("path", Json.String path);
-                       ("events", Json.Int (Session.position session));
-                       ("bytes", Json.Int bytes);
-                     ]);
-                Ok true
-            | Error _ as err ->
-                (match trc with
-                | Some (_, ckpt) -> Tr.emit trace ckpt Tr.Span_end 0
-                | None -> ());
-                err)
-      in
-      let stats_record () =
+      let skip = Session.position session in
+      let counters () =
         let s = Session.stats session in
         let r = Reorder.stats (Session.reorder session) in
-        Json.Obj
+        [
+          ("events", Json.Int s.accepted);
+          ("delivered", Json.Int s.delivered);
+          ("reordered", Json.Int s.reordered);
+          ("dropped_late", Json.Int s.dropped_late);
+          ("forced", Json.Int s.forced);
+          ("occupancy", Json.Int r.Reorder.occupancy);
+          ("watermark", Json.Int r.Reorder.watermark);
+        ]
+      in
+      {
+        lateness = Session.lateness session;
+        certificate = (fun () -> Session.reorder_certificate session);
+        prov;
+        skip;
+        start =
           [
-            ("type", Json.String "stats");
-            ("events", Json.Int s.accepted);
-            ("delivered", Json.Int s.delivered);
-            ("reordered", Json.Int s.reordered);
-            ("dropped_late", Json.Int s.dropped_late);
-            ("forced", Json.Int s.forced);
-            ("occupancy", Json.Int r.Reorder.occupancy);
-            ("watermark", Json.Int r.Reorder.watermark);
-          ]
-      in
-      let push e =
-        incr offered;
-        (match srv_obs with Some o -> Obs.incr o.records | None -> ());
-        if !offered > skip then begin
-          Session.offer_force session e;
-          let pos = Session.position session in
-          if checkpoint_every > 0 && pos mod checkpoint_every = 0 then
-            (match save_checkpoint () with
-            | Ok _ -> ()
-            | Error msg -> raise (Input_error msg));
-          if stats_interval > 0 && pos mod stats_interval = 0 then
-            emit_record out (stats_record ())
-        end
-      in
-      match with_signals @@ fun () ->
-        with_http ~out ~metrics_addr @@ fun http ->
-        let fd, cleanup = open_input input in
-        Fun.protect ~finally:(fun () -> Option.iter (fun f -> f ()) cleanup)
-        @@ fun () ->
-        (match srv_obs with Some o -> Obs.set o.sessions 1 | None -> ());
-        emit_record out
-          (Json.Obj
-             [
-               ("type", Json.String "start");
-               ("properties", Json.Int (List.length suite));
-               ("resumed", Json.Bool resuming);
-               ("skip", Json.Int skip);
-             ]);
-        let state = ref (Sniffing (Buffer.create 8)) in
-        let consume chunk =
-          (match srv_obs with
-          | Some o -> Obs.add o.bytes_in (String.length chunk)
-          | None -> ());
-          match trc with
-          | None -> feed_chunk state chunk ~push
-          | Some (admit, _) ->
-              Tr.emit trace admit Tr.Span_begin 0;
-              feed_chunk state chunk ~push;
-              Tr.emit trace admit Tr.Span_end (String.length chunk)
-        in
-        match stream_loop ~fd ~metrics ~consume http with
-        | `Interrupted -> `Interrupted
-        | `Eof ->
-            finish_input state ~push;
+            ("resumed", Json.Bool (resume_from <> None));
+            ("skip", Json.Int skip);
+          ];
+        admit = Session.offer_force session;
+        position = (fun () -> Session.position session);
+        counters;
+        checkpoint = (fun path -> Checkpoint.save ~path session);
+        finish =
+          (fun () ->
             let report = Session.finalize ?final_time session in
-            let ft = Session.now session in
-            List.iter2
-              (fun (name, verdict) (_, rendered) ->
-                let passed = Backend.passed verdict in
-                (match srv_obs with
-                | Some o -> Obs.incr (if passed then o.pass else o.fail)
-                | None -> ());
-                emit_record out
-                  (Json.Obj
-                     ([
-                        ("type", Json.String "verdict");
-                        ("property", Json.String name);
-                        ("passed", Json.Bool passed);
-                        ("verdict", Json.String rendered);
-                      ]
-                     @ provenance_field ?backend ~prov ~final_time:ft
-                         ~pattern_of name passed)))
-              (Report.summary report)
-              (Report.summary_strings report);
-            let stats = Session.stats session in
-            let snap = Reorder.stats (Session.reorder session) in
-            let passed = Report.all_passed report in
-            (match srv_obs with Some o -> Obs.set o.sessions 0 | None -> ());
-            emit_record out
-              (Json.Obj
-                 [
-                   ("type", Json.String "summary");
-                   ("passed", Json.Bool passed);
-                   ("events", Json.Int stats.accepted);
-                   ("delivered", Json.Int stats.delivered);
-                   ("reordered", Json.Int stats.reordered);
-                   ("dropped_late", Json.Int stats.dropped_late);
-                   ("forced", Json.Int stats.forced);
-                   ("occupancy", Json.Int snap.Reorder.occupancy);
-                   ("watermark", Json.Int snap.Reorder.watermark);
-                   ("max_seen", Json.Int snap.Reorder.max_seen);
-                 ]);
-            write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out
-              ~checkers:(Provenance.seen prov);
-            linger ~metrics http;
-            `Done (if passed then 0 else 1)
-      with
-      | exception Input_error msg -> error msg
-      | exception Unix.Unix_error (e, fn, arg) ->
-          error
-            (Printf.sprintf "%s%s: %s" fn
-               (if arg = "" then "" else " " ^ arg)
-               (Unix.error_message e))
-      | `Interrupted -> (
-          match save_checkpoint () with
-          | Error msg -> error msg
-          | Ok _ ->
-              emit_record out
-                (Json.Obj
-                   [
-                     ("type", Json.String "interrupted");
-                     ("events", Json.Int (Session.position session));
-                   ]);
-              write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out
-                ~checkers:(Provenance.seen prov);
-              0)
-      | `Done code -> code))
-
-(* ---- speculative hosting (--ooo) ---------------------------------------
-
-   Same wire protocol as the buffered mode — start, violations,
-   verdicts, summary, the same exit codes — but events flow through
-   {!Loseq_ooo.Engine} instead of a reorder buffer: applied the moment
-   they arrive, repaired by rollback when a late one lands.  The extra
-   records are the speculative markers: violation records carry
-   ["speculative"], [retracted] records withdraw them, and [settled]
-   records mark verdicts the watermark has made definitive.  After end
-   of stream the settled verdict records are byte-identical to the
-   buffered mode's. *)
+            ( Report.summary report,
+              List.map snd (Report.summary_strings report),
+              Session.now session ));
+        summary =
+          (fun () ->
+            counters ()
+            @ [
+                ( "max_seen",
+                  Json.Int (Reorder.max_seen (Session.reorder session)) );
+              ]);
+      })
+    session_result
 
 module Engine = Loseq_ooo.Engine
 
-let serve_ooo ~metrics ~metrics_addr ~stats_interval ?backend ?suite_backend
-    ~lateness ~strict_reorder ?final_time ~trace ~trace_out ~profile_out ~out
-    ~input suite =
-  let error msg = error_record out msg in
+let not_checkpointable =
+  "speculative state (journal, snapshots, unsettled verdicts) is not \
+   checkpointable"
+
+let speculative ~metrics ~trace ~lateness ?final_time ~out suite =
   let rendered v = Format.asprintf "%a" Backend.pp_verdict v in
-  let srv_obs = make_server_obs metrics in
   (* The speculative engine routes no tap, so the provenance recorder
      is detached and fed from the arrival stream; retractions unfreeze
      the ring again. *)
@@ -750,172 +624,233 @@ let serve_ooo ~metrics ~metrics_addr ~stats_interval ?backend ?suite_backend
                ("verdict", Json.String (rendered verdict));
              ])
   in
-  let entries =
-    List.map (fun (e : Suite.entry) -> (e.label, e.pattern)) suite
-  in
-  let engine_result =
-    match
-      Engine.create
-        ?metrics:(if Obs.is_live metrics then Some metrics else None)
-        ~trace ?backend ?suite_backend ~notice ~lateness entries
-    with
-    | e -> Ok e
-    | exception Wellformed.Ill_formed (p, errs) ->
-        Error
-          (Format.asprintf "ill-formed pattern %a:@ %a" Pattern.pp p
-             (Format.pp_print_list Wellformed.pp_error)
-             errs)
-    | exception Invalid_argument msg -> Error msg
-  in
-  match engine_result with
+  match
+    Engine.create
+      ?metrics:(if Obs.is_live metrics then Some metrics else None)
+      ~trace ~notice ~lateness (Suite.entries_of suite)
+  with
+  | exception Wellformed.Ill_formed (p, errs) -> Error (ill_formed p errs)
+  | exception Invalid_argument msg -> Error msg
+  | engine ->
+      let admitted = ref 0 in
+      let counters () =
+        let s = Engine.stats engine in
+        [
+          ("events", Json.Int !admitted);
+          ("applied", Json.Int s.Engine.applied);
+          ("late", Json.Int s.Engine.late);
+          ("commute_hits", Json.Int s.Engine.commute_hits);
+          ("rollbacks", Json.Int s.Engine.rollbacks);
+          ("replayed", Json.Int s.Engine.replayed);
+          ("dropped_late", Json.Int s.Engine.dropped_late);
+        ]
+      in
+      Ok
+        {
+          lateness;
+          certificate = (fun () -> Engine.certificate engine);
+          prov;
+          skip = 0;
+          start =
+            [
+              ("mode", Json.String "speculative");
+              ("lateness", Json.Int lateness);
+            ];
+          admit =
+            (fun e ->
+              incr admitted;
+              (* Ring first, offer second: a violation the offer raises
+                 synchronously must find its deciding event captured. *)
+              Provenance.record prov ~time:e.Trace.time e.Trace.name;
+              ignore (Engine.offer engine e));
+          position = (fun () -> !admitted);
+          counters =
+            (fun () ->
+              counters ()
+              @ [
+                  ("journal_depth", Json.Int (Engine.journal_depth engine));
+                  ("watermark", Json.Int (Engine.watermark engine));
+                  ( "settled",
+                    Json.Int (Engine.stats engine).Engine.settled_events );
+                ]);
+          checkpoint = (fun _ -> Error not_checkpointable);
+          finish =
+            (fun () ->
+              Engine.finalize ?final_time engine;
+              ( Engine.report engine,
+                Engine.report_strings engine,
+                max 0
+                  (max (Engine.max_seen engine)
+                     (Option.value final_time ~default:0)) ));
+          summary =
+            (fun () ->
+              let s = Engine.stats engine in
+              counters ()
+              @ [
+                  ("snapshots", Json.Int s.Engine.snapshots);
+                  ("max_journal", Json.Int s.Engine.max_journal);
+                  ("watermark", Json.Int (Engine.watermark engine));
+                ]);
+        }
+
+(* ---- the serve loop ----------------------------------------------------- *)
+
+let run ~metrics ~metrics_addr ~stats_interval ?checkpoint ~checkpoint_every
+    ~strict_reorder ~trace ~trace_out ~profile_out ~out ~input suite front =
+  let error msg = error_record out msg in
+  match
+    reorder_gate ~lateness:front.lateness ~strict_reorder ~out
+      front.certificate
+  with
   | Error msg -> error msg
-  | Ok engine -> (
-      match
-        reorder_gate ~lateness ~strict_reorder ~out (fun () ->
-            Engine.certificate engine)
-      with
-      | Error msg -> error msg
-      | Ok () -> (
-          let offered = ref 0 in
-          let stats_record () =
-            let s = Engine.stats engine in
-            Json.Obj
-              [
-                ("type", Json.String "stats");
-                ("events", Json.Int !offered);
-                ("applied", Json.Int s.Engine.applied);
-                ("late", Json.Int s.Engine.late);
-                ("commute_hits", Json.Int s.Engine.commute_hits);
-                ("rollbacks", Json.Int s.Engine.rollbacks);
-                ("replayed", Json.Int s.Engine.replayed);
-                ("dropped_late", Json.Int s.Engine.dropped_late);
-                ("journal_depth", Json.Int (Engine.journal_depth engine));
-                ("watermark", Json.Int (Engine.watermark engine));
-                ("settled", Json.Int s.Engine.settled_events);
-              ]
-          in
-          let push e =
-            incr offered;
-            (match srv_obs with Some o -> Obs.incr o.records | None -> ());
-            (* Ring first, offer second: a violation the offer raises
-               synchronously must find its deciding event captured. *)
-            Provenance.record prov ~time:e.Trace.time e.Trace.name;
-            ignore (Engine.offer engine e);
-            if stats_interval > 0 && !offered mod stats_interval = 0 then
-              emit_record out (stats_record ())
-          in
-          let trc =
-            if Tr.is_live trace then
-              Some (Tr.intern trace ~track:"ingest" "admit")
-            else None
-          in
-          match
-            with_signals @@ fun () ->
-            with_http ~out ~metrics_addr @@ fun http ->
-            let fd, cleanup = open_input input in
-            Fun.protect ~finally:(fun () -> Option.iter (fun f -> f ()) cleanup)
-            @@ fun () ->
-            (match srv_obs with Some o -> Obs.set o.sessions 1 | None -> ());
-            emit_record out
-              (Json.Obj
-                 [
-                   ("type", Json.String "start");
-                   ("properties", Json.Int (List.length suite));
-                   ("mode", Json.String "speculative");
-                   ("lateness", Json.Int lateness);
-                 ]);
-            let state = ref (Sniffing (Buffer.create 8)) in
-            let consume chunk =
-              (match srv_obs with
-              | Some o -> Obs.add o.bytes_in (String.length chunk)
-              | None -> ());
-              match trc with
-              | None -> feed_chunk state chunk ~push
-              | Some admit ->
-                  Tr.emit trace admit Tr.Span_begin 0;
-                  feed_chunk state chunk ~push;
-                  Tr.emit trace admit Tr.Span_end (String.length chunk)
-            in
-            match stream_loop ~fd ~metrics ~consume http with
-            | `Interrupted -> `Interrupted
-            | `Eof ->
-                finish_input state ~push;
-                Engine.finalize ?final_time engine;
-                let report = Engine.report engine in
-                let ft =
-                  max 0
-                    (max (Engine.max_seen engine)
-                       (Option.value final_time ~default:0))
-                in
-                let pattern_of name = List.assoc_opt name entries in
-                List.iter2
-                  (fun (name, verdict) rendered_v ->
-                    let passed = Backend.passed verdict in
-                    (match srv_obs with
-                    | Some o -> Obs.incr (if passed then o.pass else o.fail)
-                    | None -> ());
-                    emit_record out
-                      (Json.Obj
-                         ([
-                            ("type", Json.String "verdict");
-                            ("property", Json.String name);
-                            ("passed", Json.Bool passed);
-                            ("verdict", Json.String rendered_v);
-                          ]
-                         @ provenance_field ?backend ~prov ~final_time:ft
-                             ~pattern_of name passed)))
-                  report
-                  (Engine.report_strings engine);
-                let s = Engine.stats engine in
-                let passed =
-                  List.for_all (fun (_, v) -> Backend.passed v) report
-                in
-                (match srv_obs with Some o -> Obs.set o.sessions 0 | None -> ());
+  | Ok () -> (
+      let srv_obs = make_server_obs metrics in
+      let pattern_of name =
+        List.find_map
+          (fun (e : Suite.entry) ->
+            if String.equal e.label name then Some e.pattern else None)
+          suite
+      in
+      (* Server-track flight-recorder categories: the admission span
+         around each input chunk and the checkpoint-write span. *)
+      let trc =
+        if Tr.is_live trace then
+          Some
+            ( Tr.intern trace ~track:"ingest" "admit",
+              Tr.intern trace ~track:"ingest" "checkpoint" )
+        else None
+      in
+      let save_checkpoint () =
+        match checkpoint with
+        | None -> Ok ()
+        | Some path -> (
+            (match trc with
+            | Some (_, ckpt) -> Tr.emit trace ckpt Tr.Span_begin 0
+            | None -> ());
+            match front.checkpoint path with
+            | Ok bytes ->
+                (match trc with
+                | Some (_, ckpt) -> Tr.emit trace ckpt Tr.Span_end bytes
+                | None -> ());
+                (match srv_obs with Some o -> Obs.incr o.ckpt | None -> ());
                 emit_record out
                   (Json.Obj
                      [
-                       ("type", Json.String "summary");
-                       ("passed", Json.Bool passed);
-                       ("events", Json.Int !offered);
-                       ("applied", Json.Int s.Engine.applied);
-                       ("late", Json.Int s.Engine.late);
-                       ("commute_hits", Json.Int s.Engine.commute_hits);
-                       ("rollbacks", Json.Int s.Engine.rollbacks);
-                       ("replayed", Json.Int s.Engine.replayed);
-                       ("dropped_late", Json.Int s.Engine.dropped_late);
-                       ("snapshots", Json.Int s.Engine.snapshots);
-                       ("max_journal", Json.Int s.Engine.max_journal);
-                       ("watermark", Json.Int (Engine.watermark engine));
+                       ("type", Json.String "checkpoint");
+                       ("path", Json.String path);
+                       ("events", Json.Int (front.position ()));
+                       ("bytes", Json.Int bytes);
                      ]);
-                write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out
-                  ~checkers:(Provenance.seen prov);
-                linger ~metrics http;
-                `Done (if passed then 0 else 1)
-          with
-          | exception Input_error msg -> error msg
-          | exception Unix.Unix_error (e, fn, arg) ->
-              error
-                (Printf.sprintf "%s%s: %s" fn
-                   (if arg = "" then "" else " " ^ arg)
-                   (Unix.error_message e))
-          | `Interrupted ->
+                Ok ()
+            | Error _ as err ->
+                (match trc with
+                | Some (_, ckpt) -> Tr.emit trace ckpt Tr.Span_end 0
+                | None -> ());
+                err)
+      in
+      let offered = ref 0 in
+      let push e =
+        incr offered;
+        (match srv_obs with Some o -> Obs.incr o.records | None -> ());
+        if !offered > front.skip then begin
+          front.admit e;
+          let pos = front.position () in
+          if checkpoint_every > 0 && pos mod checkpoint_every = 0 then
+            (match save_checkpoint () with
+            | Ok () -> ()
+            | Error msg -> raise (Input_error msg));
+          if stats_interval > 0 && pos mod stats_interval = 0 then
+            emit_record out
+              (Json.Obj (("type", Json.String "stats") :: front.counters ()))
+        end
+      in
+      let artifacts () =
+        write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out
+          ~checkers:(Provenance.seen front.prov)
+      in
+      match
+        with_signals @@ fun () ->
+        with_http ~out ~metrics_addr @@ fun http ->
+        let fd, cleanup = open_input input in
+        Fun.protect ~finally:(fun () -> Option.iter (fun f -> f ()) cleanup)
+        @@ fun () ->
+        (match srv_obs with Some o -> Obs.set o.sessions 1 | None -> ());
+        emit_record out
+          (Json.Obj
+             (("type", Json.String "start")
+             :: ("properties", Json.Int (List.length suite))
+             :: front.start));
+        let state = ref (Sniffing (Buffer.create 8)) in
+        let consume chunk =
+          (match srv_obs with
+          | Some o -> Obs.add o.bytes_in (String.length chunk)
+          | None -> ());
+          match trc with
+          | None -> feed_chunk state chunk ~push
+          | Some (admit, _) ->
+              Tr.emit trace admit Tr.Span_begin 0;
+              feed_chunk state chunk ~push;
+              Tr.emit trace admit Tr.Span_end (String.length chunk)
+        in
+        match stream_loop ~fd ~metrics ~consume http with
+        | `Interrupted -> `Interrupted
+        | `Eof ->
+            finish_input state ~push;
+            let verdicts, rendered, ft = front.finish () in
+            List.iter2
+              (fun (name, verdict) rendered_v ->
+                let passed = Backend.passed verdict in
+                (match srv_obs with
+                | Some o -> Obs.incr (if passed then o.pass else o.fail)
+                | None -> ());
+                emit_record out
+                  (Json.Obj
+                     ([
+                        ("type", Json.String "verdict");
+                        ("property", Json.String name);
+                        ("passed", Json.Bool passed);
+                        ("verdict", Json.String rendered_v);
+                      ]
+                     @ provenance_field ~prov:front.prov ~final_time:ft
+                         ~pattern_of name passed)))
+              verdicts rendered;
+            let passed =
+              List.for_all (fun (_, v) -> Backend.passed v) verdicts
+            in
+            (match srv_obs with Some o -> Obs.set o.sessions 0 | None -> ());
+            emit_record out
+              (Json.Obj
+                 (("type", Json.String "summary")
+                 :: ("passed", Json.Bool passed)
+                 :: front.summary ()));
+            artifacts ();
+            linger ~metrics http;
+            `Done (if passed then 0 else 1)
+      with
+      | exception Input_error msg -> error msg
+      | exception Unix.Unix_error (e, fn, arg) ->
+          error
+            (Printf.sprintf "%s%s: %s" fn
+               (if arg = "" then "" else " " ^ arg)
+               (Unix.error_message e))
+      | `Interrupted -> (
+          match save_checkpoint () with
+          | Error msg -> error msg
+          | Ok () ->
               emit_record out
                 (Json.Obj
                    [
                      ("type", Json.String "interrupted");
-                     ("events", Json.Int !offered);
+                     ("events", Json.Int (front.position ()));
                    ]);
-              write_artifacts ~out ~metrics ~trace ~trace_out ~profile_out
-                ~checkers:(Provenance.seen prov);
-              0
-          | `Done code -> code))
+              artifacts ();
+              0)
+      | `Done code -> code)
 
-(* ---- mode dispatch ------------------------------------------------------ *)
-
-let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend ?suite_backend
-    ?(lateness = 0) ?(window = 1024) ?checkpoint ?(checkpoint_every = 0)
-    ?(resume = false) ?(strict_reorder = false) ?(ooo = false) ?final_time
-    ?trace_out ?profile_out ?latency_sample_rate ?(out = stdout) ~input suite =
+let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?(lateness = 0)
+    ?(window = 1024) ?checkpoint ?(checkpoint_every = 0) ?(resume = false)
+    ?(strict_reorder = false) ?(ooo = false) ?final_time ?trace_out
+    ?profile_out ?latency_sample_rate ?(out = stdout) ~input suite =
   let metrics =
     default_metrics ~metrics ~metrics_addr ~stats_interval ~profile_out
   in
@@ -923,20 +858,27 @@ let serve ?metrics ?metrics_addr ?(stats_interval = 0) ?backend ?suite_backend
      noop ring keeps every instrumented hot path on its one-branch
      fast path. *)
   let trace = if trace_out <> None then Tr.create () else Tr.noop in
-  if ooo then
-    if checkpoint <> None || resume then
-      error_record out
-        "--ooo does not support --checkpoint/--resume: speculative state \
-         (journal, snapshots, unsettled verdicts) is not checkpointable"
+  let front =
+    if ooo then
+      if checkpoint <> None || resume then
+        Error
+          ("--ooo does not support --checkpoint/--resume: "
+         ^ not_checkpointable)
+      else speculative ~metrics ~trace ~lateness ?final_time ~out suite
     else
-      serve_ooo ~metrics ~metrics_addr ~stats_interval ?backend ?suite_backend
-        ~lateness ~strict_reorder ?final_time ~trace ~trace_out ~profile_out
-        ~out ~input suite
-  else
-    serve_buffered ~metrics ~metrics_addr ~stats_interval ?backend
-      ?suite_backend ~lateness ~window ?checkpoint ~checkpoint_every ~resume
-      ~strict_reorder ?final_time ~trace ~trace_out ~profile_out
-      ?latency_sample_rate ~out ~input suite
+      let resume_from =
+        match checkpoint with
+        | Some path when resume && Sys.file_exists path -> Some path
+        | Some _ | None -> None
+      in
+      buffered ~metrics ~trace ~lateness ~window ~resume_from
+        ?latency_sample_rate ?final_time ~out suite
+  in
+  match front with
+  | Error msg -> error_record out msg
+  | Ok front ->
+      run ~metrics ~metrics_addr ~stats_interval ?checkpoint ~checkpoint_every
+        ~strict_reorder ~trace ~trace_out ~profile_out ~out ~input suite front
 
 (* ---- the producer side ------------------------------------------------- *)
 

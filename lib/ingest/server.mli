@@ -2,8 +2,9 @@
 
     Reads a trace stream — LSQB binary or line-oriented CSV, sniffed
     from the first bytes — from stdin or a Unix-domain socket (one
-    connection), feeds it through a {!Session}, and emits NDJSON
-    records on [out] as things happen:
+    connection), feeds it through a {!Session} — the whole suite on one
+    {!Loseq_core.Flat} engine; serve has no backend choice — and emits
+    NDJSON records on [out] as things happen:
 
     - [{"type":"start", ...}] once, after the input is open;
     - [{"type":"violation", "property":.., "time":.., "index":..,
@@ -12,8 +13,8 @@
       end of stream;
     - [{"type":"checkpoint", "path":.., "events":.., "bytes":..}]
       after each periodic {!Checkpoint.save} ([bytes] is the encoded
-      size written — the flat blob format keeps it from scaling with
-      checker count);
+      size written — the engine blob keeps it from scaling with checker
+      count);
     - on SIGTERM/SIGINT: a final checkpoint (when configured), then
       [{"type":"interrupted", "events":..}] — exit code 0, the stream
       is expected to resume;
@@ -50,8 +51,10 @@
     {e lingers} (the final counters stay scrapable) until
     SIGTERM/SIGINT; the exit code still reflects the verdicts.
 
-    With [ooo] the speculative {!Loseq_ooo.Engine} replaces the
-    session's reorder buffer: events are applied the moment they
+    Both modes run one stream loop; they differ only in the admission
+    front end.  With [ooo] the speculative {!Loseq_ooo.Engine} (views
+    of one flat suite engine) replaces the session and its reorder
+    buffer: events are applied the moment they
     arrive, violation records carry a ["speculative"] flag,
     [{"type":"retracted", "property":..}] withdraws a speculative
     violation a rollback disproved, and [{"type":"settled",
@@ -74,8 +77,6 @@ val serve :
   ?metrics:Loseq_obs.Metrics.t ->
   ?metrics_addr:string * int ->
   ?stats_interval:int ->
-  ?backend:Loseq_core.Backend.factory ->
-  ?suite_backend:Loseq_core.Backend.suite_factory ->
   ?lateness:int ->
   ?window:int ->
   ?checkpoint:string ->
@@ -96,6 +97,8 @@ val serve :
     [resume] (default false) restores from [checkpoint] when the file
     exists — the producer must replay the stream from the start; the
     server skips the events the checkpoint already accounts for.
+    Checkpoints are written in format version 2; version-1 files from
+    earlier releases resume too.
     [lateness]/[window] configure the session's reorder stage (ignored
     on resume: the checkpoint's values win).  [out] defaults to
     stdout.

@@ -14,6 +14,7 @@ type t = {
   kernel : Kernel.t;
   tap : Tap.t;
   hub : Hub.t;
+  engine : Flat.t;
   reorder : Reorder.t;
   lateness : int;
   window : int;
@@ -23,19 +24,19 @@ type t = {
   mutable forced : int;
 }
 
-let create ?metrics ?(trace = Tr.noop) ?backend ?suite_backend
-    ?latency_sample_rate ?(lateness = 0) ?(window = 1024) suite =
+let create ?metrics ?(trace = Tr.noop) ?latency_sample_rate ?(lateness = 0)
+    ?(window = 1024) suite =
   let kernel = Kernel.create () in
   let tap = Tap.create ~record:false kernel in
-  let hub =
-    Suite.attach_hub ?metrics ~trace ?backend ?suite_backend
-      ?latency_sample_rate tap suite
+  let hub, engine =
+    Suite.attach_hub_flat ?metrics ~trace ?latency_sample_rate tap suite
   in
   {
     suite;
     kernel;
     tap;
     hub;
+    engine;
     reorder = Reorder.create ?metrics ~trace ~capacity:window ~lateness ();
     lateness;
     window;
@@ -156,6 +157,7 @@ let report t = Hub.report t.hub
 let all_passed t = Hub.all_passed t.hub
 let suite t = t.suite
 let hub t = t.hub
+let engine t = t.engine
 let kernel t = t.kernel
 let reorder t = t.reorder
 let lateness t = t.lateness

@@ -7,9 +7,12 @@
     advanced to each event's timestamp (so the hub's merged deadline
     wheel fires deadline-only violations exactly as in a simulation), a
     {!Loseq_verif.Tap} with recording off, and a {!Loseq_verif.Hub}
-    hosting one checker per suite entry — all stream mechanics live
-    here, none in the monitors (the Backes et al. observer-hosting
-    discipline).
+    hosting the whole suite on one {!Loseq_core.Flat} engine
+    ({!Loseq_verif.Suite.attach_hub_flat}: one dispatch row per event
+    name, every checker's state in one packed array) — all stream
+    mechanics live here, none in the monitors (the Backes et al.
+    observer-hosting discipline).  This is the only live hosting path:
+    the [--backend] choice of the batch commands does not apply.
 
     Between the caller and the hub sits a {!Reorder} buffer: events up
     to [lateness] ticks out of order are re-sorted; later ones are
@@ -28,18 +31,14 @@ type t
 val create :
   ?metrics:Loseq_obs.Metrics.t ->
   ?trace:Loseq_obs.Trace.t ->
-  ?backend:Backend.factory ->
-  ?suite_backend:Backend.suite_factory ->
   ?latency_sample_rate:int ->
   ?lateness:int ->
   ?window:int ->
   Suite.t ->
   t
-(** [backend] defaults to {!Backend.compiled}; [suite_backend]
-    (e.g. {!Backend.flat_views}) overrides it with a suite-level
-    compilation whose checkers share one engine — both support
-    checkpointing; [lateness] defaults to [0] (strictly chronological
-    input expected); [window] to [1024].  A live [metrics] sink (default
+(** Compile the suite into one flat engine and host it.  [lateness]
+    defaults to [0] (strictly chronological input expected); [window]
+    to [1024].  A live [metrics] sink (default
     noop) is threaded to the {!Loseq_verif.Hub} and the {!Reorder}
     buffer, so one session exports the full hub + reorder instrument
     set; a live [trace] flight recorder (default noop) likewise — hub
@@ -47,8 +46,7 @@ val create :
     plus a [stall] span on the ["ingest"] track around every
     backpressure force-drain.  [latency_sample_rate] tunes the hub's
     dispatch-latency sampling (default 64).  Raises
-    {!Loseq_core.Wellformed.Ill_formed} and whatever the factory
-    raises. *)
+    {!Loseq_core.Wellformed.Ill_formed}. *)
 
 val offer : t -> Trace.event -> [ `Accepted | `Blocked ]
 (** Feed one event.  [`Accepted]: consumed — delivered now, buffered,
@@ -116,6 +114,10 @@ val reorder_robust : ?budget:int -> t -> bool
 
 val suite : t -> Suite.t
 val hub : t -> Hub.t
+
+val engine : t -> Flat.t
+(** The suite engine: its state blob is what {!Checkpoint} writes. *)
+
 val kernel : t -> Loseq_sim.Kernel.t
 val reorder : t -> Reorder.t
 val lateness : t -> int

@@ -196,31 +196,19 @@ let settle_scan t =
 
 let pair a b = if Name.compare a b <= 0 then (a, b) else (b, a)
 
-let create ?metrics ?(trace = Tr.noop) ?backend ?suite_backend
-    ?(cert_budget = 20_000) ?(snapshot_every = 32) ?notice ~lateness entries =
+let create ?metrics ?(trace = Tr.noop) ?(cert_budget = 20_000)
+    ?(snapshot_every = 32) ?notice ~lateness entries =
   if lateness < 0 then invalid_arg "Loseq_ooo.Engine.create: negative lateness";
   if snapshot_every < 1 then
     invalid_arg "Loseq_ooo.Engine.create: snapshot_every < 1";
-  let backends =
-    match suite_backend with
-    | Some f -> f entries
-    | None ->
-        let f = Option.value backend ~default:Backend.compiled in
-        Array.of_list (List.map (fun (_, p) -> f p) entries)
-  in
+  (* Views of one flat suite engine: each persists and restores its own
+     slots, which is all rollback needs. *)
+  let backends = Backend.flat_views entries in
   let backends =
     match metrics with
     | Some m -> Array.map (Backend.instrument m) backends
     | None -> backends
   in
-  Array.iter
-    (fun b ->
-      if not (Backend.supports_rollback b) then
-        invalid_arg
-          (Printf.sprintf
-             "Loseq_ooo.Engine.create: backend %S cannot snapshot/rollback"
-             b.Backend.label))
-    backends;
   let cert = Robust.certificate ~budget:cert_budget entries in
   let cert_entries = Array.of_list cert.Robust.entries in
   let chks =

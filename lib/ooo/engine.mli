@@ -4,7 +4,7 @@
     event in a watermark reorder buffer for up to [lateness] ticks and
     delivers in timestamp order: verdicts are exact but lag the stream.
     This engine is the POLIMON-style alternative: it applies each event
-    to the compiled suite {e the moment it arrives}, reports
+    to the flat suite engine {e the moment it arrives}, reports
     three-valued in-flight verdicts ({!Loseq_core.Backend.tri}), and
     repairs by rollback-and-replay when a late event lands inside the
     lateness bound — a bounded {!Journal} of suite-alphabet events and
@@ -78,17 +78,15 @@ type notice =
 val create :
   ?metrics:Loseq_obs.Metrics.t ->
   ?trace:Loseq_obs.Trace.t ->
-  ?backend:Backend.factory ->
-  ?suite_backend:Backend.suite_factory ->
   ?cert_budget:int ->
   ?snapshot_every:int ->
   ?notice:(notice -> unit) ->
   lateness:int ->
   (string * Pattern.t) list ->
   t
-(** Compile the suite (default backend {!Backend.compiled}, or the
-    suite-level [?suite_backend] — e.g. {!Backend.flat_views}), run the
-    lateness-robustness analysis ([cert_budget] defaults to [20_000]
+(** Compile the suite into one {!Loseq_core.Flat} engine (one
+    {!Backend.flat_views} view per entry; each view persists and
+    restores its own slots for rollback), run the lateness-robustness analysis ([cert_budget] defaults to [20_000]
     elementary operations) and take the base snapshot.  A snapshot is
     recorded every [snapshot_every] (default [32]) journalled events.
     With [?metrics], backends are instrumented and the engine registers
@@ -99,9 +97,7 @@ val create :
     re-stepped), plus [commute_hit], [retraction] and [snapshot]
     instants.
 
-    Raises [Invalid_argument] if [lateness < 0] or a chosen backend
-    does not {!Backend.supports_rollback} (the [direct] and [psl]
-    strategies cannot host speculation);
+    Raises [Invalid_argument] if [lateness < 0] or [snapshot_every < 1];
     {!Loseq_core.Wellformed.Ill_formed} on an ill-formed pattern. *)
 
 val offer : t -> Trace.event -> [ `Applied | `Commuted | `Replayed of int | `Dropped_late ]

@@ -81,8 +81,9 @@ end
 
 (* Present only when the hub was created with a live metrics sink; the
    default (noop) hub carries [None] and pays one predictable branch per
-   delivery.  Dispatch latency is sampled (one delivery in 64) so the
-   clock reads stay far below the paper's per-event monitor cost. *)
+   delivery.  Dispatch latency is sampled (one delivery in
+   [latency_sample_rate], 64 by default) so the clock reads stay far
+   below the paper's per-event monitor cost. *)
 module Obs = Loseq_obs.Metrics
 module Tr = Loseq_obs.Trace
 
@@ -161,7 +162,9 @@ let make_obs metrics tap =
         ~help:"Deadline expiries polled through the merged wheel" ();
     dispatch_ns =
       Obs.histogram metrics ~name:"loseq_hub_dispatch_ns"
-        ~help:"Per-dispatch latency in nanoseconds (sampled 1 in 64)"
+        ~help:
+          "Per-dispatch latency in nanoseconds, sampled 1 in N dispatches \
+           (N = --latency-sample-rate, default 64)"
         ~buckets:latency_buckets ();
     rebase = [];
   }
@@ -462,19 +465,27 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
               if Flat.deadline_generation eng <> !last_gen then resettle ())
       | obs, trc ->
           let sampled =
+            let phase = ref 0 in
             match obs with
             | Some o ->
+                (* one event reaches every checker listening to [nm]:
+                   count those deliveries, as per-checker hosting does *)
                 let deliveries =
                   Obs.counter o.metrics ~name:"loseq_hub_deliveries_total"
                     ~help:"Routed checker deliveries, by event name"
                     ~labels:[ ("name", Name.to_string nm) ]
                     ()
                 in
+                let listeners = ref 0 in
+                for ck = 0 to Flat.size eng - 1 do
+                  if Name.Set.mem nm (Flat.alphabet eng ck) then incr listeners
+                done;
+                let listeners = !listeners in
                 fun () ->
-                  Obs.incr deliveries;
-                  Obs.counter_value deliveries land mask = 0
+                  Obs.add deliveries listeners;
+                  incr phase;
+                  !phase land mask = 0
             | None ->
-                let phase = ref 0 in
                 fun () ->
                   incr phase;
                   !phase land mask = 0

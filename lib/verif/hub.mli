@@ -18,7 +18,14 @@
       they elapse.
 
     Strict-mode checkers are the exception to routing: they must see
-    foreign events, so they subscribe to the whole stream. *)
+    foreign events, so they subscribe to the whole stream.
+
+    There are two ways to host.  Per checker ({!add}, {!host}): any
+    backend, one closure per (checker, alphabet name) — what the
+    simulated platform and the per-pattern commands use.  Engine-direct
+    ({!host_flat}): a whole {!Loseq_core.Flat} suite engine, one
+    dispatch row per name — the one path live sessions
+    ([Loseq_ingest.Session], hence [loseq serve]) use. *)
 
 open Loseq_core
 
@@ -74,8 +81,11 @@ val host_flat :
     engine's notify callback.  These checkers never see individual
     deliveries, so their [events_seen]/coverage stay empty; the
     [loseq_backend_steps_total{backend=flat}] counter mirrors the
-    engine's step index instead.  The deadline wheel re-settles only
-    when the engine's deadline generation moves. *)
+    engine's step index instead (a decided checker takes no further
+    steps), while [loseq_hub_deliveries_total] counts one delivery per
+    listening checker, as {!host} does.  The deadline wheel re-settles only
+    when the engine's deadline generation moves.  Live sessions host
+    through here ({!Suite.attach_hub_flat}). *)
 
 val tap : t -> Tap.t
 val checkers : t -> Checker.t list

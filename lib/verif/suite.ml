@@ -89,30 +89,14 @@ let find suite label =
 
 let entries_of suite = List.map (fun e -> (e.label, e.pattern)) suite
 
-let attach_hub ?metrics ?trace ?backend ?suite_backend ?mode
-    ?latency_sample_rate tap suite =
+let attach_hub ?metrics ?trace ?backend ?mode ?latency_sample_rate tap suite =
   let hub = Hub.create ?metrics ?trace tap in
-  (match (suite_backend, mode) with
-  | Some sf, None ->
-      (* Suite-level factory: one compilation over all entries, hosted
-         per checker through the ordinary routed path. *)
-      let views = sf (entries_of suite) in
-      List.iteri
-        (fun i e ->
-          let checker =
-            Checker.make ~name:e.label
-              ~now:(fun () -> Tap.now_ps tap)
-              views.(i)
-          in
-          Hub.host ?latency_sample_rate hub checker ~strict:false)
-        suite
-  | _ ->
-      List.iter
-        (fun e ->
-          ignore
-            (Hub.add ?backend ?mode ?latency_sample_rate ~name:e.label hub
-               e.pattern))
-        suite);
+  List.iter
+    (fun e ->
+      ignore
+        (Hub.add ?backend ?mode ?latency_sample_rate ~name:e.label hub
+           e.pattern))
+    suite;
   hub
 
 let attach_hub_flat ?metrics ?trace ?latency_sample_rate tap suite =

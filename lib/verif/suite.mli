@@ -45,7 +45,6 @@ val attach_hub :
   ?metrics:Loseq_obs.Metrics.t ->
   ?trace:Loseq_obs.Trace.t ->
   ?backend:Backend.factory ->
-  ?suite_backend:Backend.suite_factory ->
   ?mode:Monitor.mode ->
   ?latency_sample_rate:int ->
   Tap.t ->
@@ -53,11 +52,10 @@ val attach_hub :
   Hub.t
 (** One {!Checker} per entry, hosted on a fresh alphabet-routed
     {!Hub} with a shared deadline wheel.  [backend] defaults to
-    {!Loseq_core.Backend.compiled}; [suite_backend], when given (and
-    [mode] is not), compiles the whole suite in one call
-    (e.g. {!Loseq_core.Backend.flat_views}) so checkers share state;
-    [metrics], [trace] and [latency_sample_rate] (defaults noop, noop,
-    64) are handed to the hub — see {!Hub.create} and {!Hub.add}. *)
+    {!Loseq_core.Backend.compiled}; [metrics], [trace] and
+    [latency_sample_rate] (defaults noop, noop, 64) are handed to the
+    hub — see {!Hub.create} and {!Hub.add}.  A whole suite on one
+    shared engine is {!attach_hub_flat}. *)
 
 val attach_hub_flat :
   ?metrics:Loseq_obs.Metrics.t ->
@@ -71,7 +69,8 @@ val attach_hub_flat :
     per-name dispatch is an index into the engine's table rather than
     a per-checker closure chain.  Returns the hub (reports, hooks,
     finalize as usual) and the engine (blob checkpoints, direct
-    stepping). *)
+    stepping).  This is how [Loseq_ingest.Session] hosts every live
+    suite. *)
 
 val attach_all :
   ?backend:Backend.factory -> ?mode:Monitor.mode -> Tap.t -> t -> Report.t

@@ -20,12 +20,16 @@
 #                         overhead bound is advisory here (wall-clock
 #                         micro-benchmarks are noisy on shared CI
 #                         runners)
-#   flat-agreement        serve --backend flat decides what the
-#                         compiled streaming run decides; at 64
-#                         checkers the flat v2 checkpoint (one varint
-#                         blob) encodes smaller than the per-checker
-#                         JSON v1; a compiled v1 checkpoint resumes
-#                         into flat hosting
+#   flat-agreement        serve (always hosted on the flat suite
+#                         engine) decides what the batch `suite
+#                         --backend compiled` run decides; a committed
+#                         v1 checkpoint of ipu.lsqb (written by the
+#                         per-checker hosting of earlier releases)
+#                         resumes to identical verdicts; at 64
+#                         checkers the v2 checkpoint (one varint blob)
+#                         encodes smaller than the committed
+#                         per-checker v1 fixture of the same suite
+#                         and stream, which itself still resumes
 #   speculative-serve     serve --ooo on the K-scrambled twin trace
 #                         settles verdict records byte-identical to
 #                         the buffered serve, with zero rollbacks (the
@@ -199,20 +203,42 @@ else
 fi
 
 gate "flat-agreement"
-# the suite-level flat engine decides exactly what the compiled
-# streaming run decided, record for record
-flat_status=0
-$LOSEQ serve --suite "$SUITE" --backend flat < "$WORK/ipu.lsqb" \
-  > "$WORK/flat.ndjson" || flat_status=$?
-test "$flat_status" -eq "$stream_status"
-grep '"type": *"verdict"' "$WORK/flat.ndjson" > "$WORK/flat.verdicts"
-cmp "$WORK/stream.verdicts" "$WORK/flat.verdicts"
-echo "flat streaming verdicts identical to compiled (exit $flat_status)"
+# serve hosts every suite on the flat engine; the batch run of the
+# per-checker compiled backend must reach the same PASS/FAIL on every
+# property
+compiled_status=0
+$LOSEQ suite "$SUITE" -f "$TRACE" --backend compiled > "$WORK/compiled.out" \
+  || compiled_status=$?
+test "$compiled_status" -eq "$stream_status"
+while read -r line; do
+  name=$(sed 's/.*"property": *"\([^"]*\)".*/\1/' <<< "$line")
+  passed=$(sed 's/.*"passed": *\(true\|false\).*/\1/' <<< "$line")
+  case "$passed" in
+    true)  grep -q "PASS.*$name\|$name.*PASS" "$WORK/compiled.out" ;;
+    false) grep -q "FAIL.*$name\|$name.*FAIL" "$WORK/compiled.out" ;;
+  esac
+done < "$WORK/stream.verdicts"
+echo "flat-hosted serve verdicts equal the compiled batch verdicts (exit $compiled_status)"
 
-# 64 disjoint checkers: the flat v2 checkpoint (one varint blob) must
-# encode smaller than the per-checker JSON v1 the compiled path writes
+# version 1 is read, not written: a v1 checkpoint of ipu.lsqb at event
+# 250, committed from the per-checker hosting that wrote it, resumes
+# into the flat session and replays to the same verdicts
+cp test/fixtures/ckpt_v1_ipu.json "$WORK/ipu_v1.ckpt"
+v1_status=0
+$LOSEQ serve --suite "$SUITE" --checkpoint "$WORK/ipu_v1.ckpt" --resume \
+  < "$WORK/ipu.lsqb" > "$WORK/v1_resumed.ndjson" || v1_status=$?
+test "$v1_status" -eq "$stream_status"
+grep '"type": *"start"' "$WORK/v1_resumed.ndjson" | grep -q '"skip": *250'
+grep '"type": *"verdict"' "$WORK/v1_resumed.ndjson" > "$WORK/v1_resumed.verdicts"
+cmp <(strip_prov "$WORK/stream.verdicts") <(strip_prov "$WORK/v1_resumed.verdicts")
+echo "committed v1 checkpoint resumed into the flat session, verdicts identical"
+
+# 64 disjoint checkers: the v2 checkpoint (one varint blob) must encode
+# smaller than the committed per-checker JSON v1 fixture taken of the
+# same suite after the same stream
 BIGSUITE="$WORK/big.suite"
 BIGCSV="$WORK/big.csv"
+V1FIX=test/fixtures/ckpt_v1_d64.json
 : > "$BIGSUITE"
 printf 'time,name\n' > "$BIGCSV"
 t=0
@@ -224,31 +250,27 @@ for i in $(seq 0 63); do
   done
 done
 $LOSEQ convert "$BIGCSV" -o "$WORK/big.lsqb"
-ckpt_bytes() {  # last "bytes" field in an NDJSON checkpoint record
-  grep '"type": *"checkpoint"' "$1" | grep -o '"bytes": *[0-9]*' \
+ckpt_field() {  # last $2 field in an NDJSON checkpoint record
+  grep '"type": *"checkpoint"' "$1" | grep -o "\"$2\": *[0-9]*" \
     | tail -1 | grep -o '[0-9]*$'
 }
-$LOSEQ serve --suite "$BIGSUITE" --checkpoint "$WORK/big_v1.ckpt" \
-  --checkpoint-every 64 < "$WORK/big.lsqb" > "$WORK/big_v1.ndjson"
-$LOSEQ serve --suite "$BIGSUITE" --backend flat \
-  --checkpoint "$WORK/big_v2.ckpt" --checkpoint-every 64 \
-  < "$WORK/big.lsqb" > "$WORK/big_v2.ndjson"
-V1=$(ckpt_bytes "$WORK/big_v1.ndjson")
-V2=$(ckpt_bytes "$WORK/big_v2.ndjson")
-test -n "$V1" && test -n "$V2"
+$LOSEQ serve --suite "$BIGSUITE" --checkpoint "$WORK/big_v2.ckpt" \
+  --checkpoint-every 64 < "$WORK/big.lsqb" > "$WORK/big_v2.ndjson"
+# same stream position as the fixture
+test "$(ckpt_field "$WORK/big_v2.ndjson" events)" \
+  -eq "$(grep -o '"accepted": *[0-9]*' "$V1FIX" | grep -o '[0-9]*$')"
+V1=$(wc -c < "$V1FIX")
+V2=$(ckpt_field "$WORK/big_v2.ndjson" bytes)
+test -n "$V2"
 test "$V2" -lt "$V1"
-echo "flat v2 checkpoint $V2 B < per-checker v1 $V1 B at 64 checkers"
-
-# cross-backend resume: the compiled v1 checkpoint from step 3
-# restores into flat hosting and replays to the same verdicts
-xresume_status=0
-$LOSEQ serve --suite "$SUITE" --checkpoint "$CKPT" --resume --backend flat \
-  < "$WORK/ipu.lsqb" > "$WORK/flat_resumed.ndjson" || xresume_status=$?
-test "$xresume_status" -eq "$stream_status"
-grep '"type": *"verdict"' "$WORK/flat_resumed.ndjson" \
-  > "$WORK/flat_resumed.verdicts"
-cmp <(strip_prov "$WORK/stream.verdicts") <(strip_prov "$WORK/flat_resumed.verdicts")
-echo "compiled v1 checkpoint resumed into flat hosting, verdicts identical"
+echo "v2 checkpoint $V2 B < committed per-checker v1 $V1 B at 64 checkers"
+# and the fixture itself still resumes to the uninterrupted verdicts
+cp "$V1FIX" "$WORK/big_v1.ckpt"
+$LOSEQ serve --suite "$BIGSUITE" --checkpoint "$WORK/big_v1.ckpt" --resume \
+  < "$WORK/big.lsqb" > "$WORK/big_v1_resumed.ndjson"
+cmp <(grep '"type": *"verdict"' "$WORK/big_v2.ndjson") \
+  <(grep '"type": *"verdict"' "$WORK/big_v1_resumed.ndjson")
+echo "committed 64-checker v1 fixture resumes to identical verdicts"
 
 gate "speculative-serve"
 # examples/traces/ipu_ooo.csv is a K-bounded scramble of ipu.csv whose
@@ -270,7 +292,7 @@ test "$spec_status" -eq "$stream_status"
 grep '"type": *"verdict"' "$WORK/buffered_ooo.ndjson" > "$WORK/buffered_ooo.verdicts"
 grep '"type": *"verdict"' "$WORK/spec.ndjson" > "$WORK/spec.verdicts"
 cmp <(strip_prov "$WORK/buffered_ooo.verdicts") <(strip_prov "$WORK/spec.verdicts")
-# also identical to the chronological compiled run of step 2
+# also identical to the chronological run of stream-batch-agreement
 cmp <(strip_prov "$WORK/stream.verdicts") <(strip_prov "$WORK/spec.verdicts")
 # the certificate fast path must absorb every late event in place
 grep '"type": *"summary"' "$WORK/spec.ndjson" | grep -q '"rollbacks": *0'

@@ -54,10 +54,6 @@ let test_capabilities () =
   Alcotest.(check bool) "flat has no states" true (flat.Backend.states = None);
   Alcotest.(check bool) "flat persists" true (flat.Backend.persist <> None);
   Alcotest.(check bool) "flat restores" true (flat.Backend.restore <> None);
-  Alcotest.(check bool) "flat carries its engine" true
-    (flat.Backend.engine <> None);
-  Alcotest.(check bool) "compiled carries no engine" true
-    (compiled.Backend.engine = None);
   Alcotest.(check string) "labels" "direct/compiled/flat"
     (direct.Backend.label ^ "/" ^ compiled.Backend.label ^ "/"
    ^ flat.Backend.label)

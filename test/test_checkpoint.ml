@@ -26,13 +26,10 @@ let summary_of session trace =
   offer_all session trace;
   Report.summary_strings (Session.finalize session)
 
-(* Run to [cut] under [src] hosting, checkpoint through the JSON
-   codec, resume a fresh [dst]-hosted session from it, feed the rest.
-   The hostings are independent: a compiled-written (v1) checkpoint
-   must restore under the flat suite engine and a flat-written (v2)
-   blob under per-checker compiled monitors. *)
-let resumed_summary ?lateness ?src ?dst suite trace cut =
-  let first = Session.create ?lateness ?suite_backend:src suite in
+(* Run to [cut], checkpoint through the JSON codec, resume a fresh
+   session from it, feed the rest. *)
+let resumed_summary ?lateness suite trace cut =
+  let first = Session.create ?lateness suite in
   let before, after =
     List.filteri (fun i _ -> i < cut) trace,
     List.filteri (fun i _ -> i >= cut) trace
@@ -45,19 +42,19 @@ let resumed_summary ?lateness ?src ?dst suite trace cut =
     | Ok j -> j
     | Error msg -> Alcotest.failf "checkpoint JSON invalid: %s" msg
   in
-  let second = Session.create ?lateness ?suite_backend:dst suite in
+  let second = Session.create ?lateness suite in
   (match Checkpoint.restore second json with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "restore at cut %d: %s" cut msg);
   offer_all second after;
   Report.summary_strings (Session.finalize second)
 
-let check_every_prefix ?lateness ?src ?dst suite trace =
+let check_every_prefix ?lateness suite trace =
   let baseline =
     summary_of (Session.create ?lateness suite) trace
   in
   for cut = 0 to List.length trace do
-    let resumed = resumed_summary ?lateness ?src ?dst suite trace cut in
+    let resumed = resumed_summary ?lateness suite trace cut in
     Alcotest.(check (list (pair string string)))
       (Printf.sprintf "cut at %d" cut)
       baseline resumed
@@ -80,32 +77,76 @@ let failing_trace =
 let test_every_prefix_passing () = check_every_prefix demo_suite passing_trace
 let test_every_prefix_failing () = check_every_prefix demo_suite failing_trace
 
-let flat = Backend.flat_views
+let disordered =
+  [
+    ev 2 "set_glAddr"; ev 0 "set_imgAddr"; ev 3 "set_glSize"; ev 10 "start";
+    ev 15 "read_img"; ev 40 "set_irq"; ev 47 "take_lock"; ev 45 "other";
+    ev 50 "release_lock"; ev 60 "bus_idle";
+  ]
 
-(* Cross-backend resume, both directions and flat-to-flat, every cut,
-   passing and failing traces. *)
-let test_cross_backend_resume () =
-  List.iter
-    (fun trace ->
-      check_every_prefix ~src:flat ~dst:flat demo_suite trace;
-      check_every_prefix ~src:flat demo_suite trace;
-      check_every_prefix ~dst:flat demo_suite trace)
-    [ passing_trace; failing_trace ]
+(* ---- version-1 import --------------------------------------------------
 
-let test_cross_backend_resume_with_pending_reorder () =
-  let disordered =
-    [
-      ev 2 "set_glAddr"; ev 0 "set_imgAddr"; ev 3 "set_glSize"; ev 10 "start";
-      ev 15 "read_img"; ev 40 "set_irq"; ev 47 "take_lock"; ev 45 "other";
-      ev 50 "release_lock"; ev 60 "bus_idle";
-    ]
+   Version 1 (one persisted JSON state per checker) is no longer
+   written, only read.  The fixtures under [fixtures/] were captured by
+   the per-checker compiled hosting that wrote it: [demo_suite] after
+   every cut of a trace, one document per line, and a 64-checker suite
+   after its whole stream. *)
+
+(* From the test directory (dune runtest) or the repository root. *)
+let fixture name =
+  let here = Filename.concat "fixtures" name in
+  if Sys.file_exists here then here else Filename.concat "test" here
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  really_input_string ic (in_channel_length ic)
+
+let parse_json what text =
+  match Json.of_string text with
+  | Ok j -> j
+  | Error msg -> Alcotest.failf "%s: %s" what msg
+
+let version_of json =
+  match Json.member "version" json with Some (Json.Int v) -> v | _ -> -1
+
+(* Cross-backend resume: each v1 checkpoint, written by per-checker
+   compiled hosting, restores into a fresh flat-hosted session, which
+   then runs the rest of the trace to the uninterrupted run's verdicts. *)
+let check_v1_every_cut ?lateness name trace =
+  let baseline = summary_of (Session.create ?lateness demo_suite) trace in
+  let docs =
+    List.filter (( <> ) "")
+      (String.split_on_char '\n' (read_file (fixture name)))
   in
-  check_every_prefix ~lateness:5 ~src:flat demo_suite disordered;
-  check_every_prefix ~lateness:5 ~dst:flat demo_suite disordered
+  Alcotest.(check int) "one checkpoint per cut" (List.length trace + 1)
+    (List.length docs);
+  List.iteri
+    (fun cut doc ->
+      let json = parse_json name doc in
+      Alcotest.(check int) "a version-1 document" 1 (version_of json);
+      let session = Session.create ?lateness demo_suite in
+      (match Checkpoint.restore session json with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "v1 restore at cut %d: %s" cut msg);
+      offer_all session (List.filteri (fun i _ -> i >= cut) trace);
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "cut at %d" cut)
+        baseline
+        (Report.summary_strings (Session.finalize session)))
+    docs
 
-(* A flat-hosted session writes version 2: blob + interning table. *)
-let test_flat_checkpoint_is_v2 () =
-  let session = Session.create ~suite_backend:flat demo_suite in
+let test_v1_import () =
+  check_v1_every_cut "ckpt_v1_demo_passing.ndjson" passing_trace;
+  check_v1_every_cut "ckpt_v1_demo_failing.ndjson" failing_trace
+
+let test_v1_import_with_pending_reorder () =
+  check_v1_every_cut ~lateness:5 "ckpt_v1_demo_disordered.ndjson" disordered
+
+(* Every session is flat-hosted and writes version 2: blob + interning
+   table. *)
+let test_capture_is_v2 () =
+  let session = Session.create demo_suite in
   offer_all session (List.filteri (fun i _ -> i < 5) passing_trace);
   let json = Checkpoint.capture session in
   let int_field k =
@@ -124,7 +165,7 @@ let test_flat_checkpoint_is_v2 () =
 (* A tampered blob version must surface as a clear error, not a decode
    exception. *)
 let test_blob_version_mismatch_refused () =
-  let session = Session.create ~suite_backend:flat demo_suite in
+  let session = Session.create demo_suite in
   offer_all session (List.filteri (fun i _ -> i < 5) passing_trace);
   let json = Checkpoint.capture session in
   let bump = function
@@ -136,7 +177,7 @@ let test_blob_version_mismatch_refused () =
     | Json.Obj fields -> Json.Obj (List.map bump fields)
     | _ -> Alcotest.fail "checkpoint is not an object"
   in
-  let fresh = Session.create ~suite_backend:flat demo_suite in
+  let fresh = Session.create demo_suite in
   match Checkpoint.restore fresh tampered with
   | Ok () -> Alcotest.fail "restored a mismatched blob version"
   | Error msg ->
@@ -149,8 +190,10 @@ let test_blob_version_mismatch_refused () =
         (Printf.sprintf "error names the version: %s" msg)
         true (contains msg "version")
 
-(* At 64 checkers the single-blob checkpoint must be smaller than 64
-   per-checker JSON states. *)
+(* At 64 checkers the single-blob checkpoint must be smaller than the
+   committed v1 fixture of the same suite and stream (64 per-checker
+   JSON states), and that fixture must still resume to the verdicts of
+   the uninterrupted run. *)
 let test_v2_smaller_at_64 () =
   let big_suite =
     List.init 64 (fun i ->
@@ -158,31 +201,36 @@ let test_v2_smaller_at_64 () =
           (Printf.sprintf "p%d" i)
           (Printf.sprintf "{a%d, b%d} <<! go%d" i i i))
   in
-  let feed session =
-    for i = 0 to 63 do
-      Session.offer_force session (ev (2 * i) (Printf.sprintf "a%d" i))
-    done
+  let stream =
+    List.concat
+      (List.init 64 (fun i ->
+           List.mapi
+             (fun k nm -> ev ((3 * i) + k) (Printf.sprintf "%s%d" nm i))
+             [ "a"; "b"; "go" ]))
   in
-  let size suite_backend =
-    let session = Session.create ?suite_backend big_suite in
-    feed session;
-    String.length (Json.to_string (Checkpoint.capture session))
+  let session = Session.create big_suite in
+  offer_all session stream;
+  let v2 = String.length (Json.to_string (Checkpoint.capture session)) in
+  let v1_json =
+    parse_json "ckpt_v1_d64.json" (read_file (fixture "ckpt_v1_d64.json"))
   in
-  let v1 = size None and v2 = size (Some flat) in
+  Alcotest.(check int) "a version-1 fixture" 1 (version_of v1_json);
+  let v1 = String.length (Json.to_string v1_json) in
   Alcotest.(check bool)
     (Printf.sprintf "flat blob (%d B) < per-checker JSON (%d B)" v2 v1)
-    true (v2 < v1)
+    true (v2 < v1);
+  let resumed = Session.create big_suite in
+  (match Checkpoint.restore resumed v1_json with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check (list (pair string string)))
+    "v1 fixture resumes to the same verdicts"
+    (Report.summary_strings (Session.finalize session))
+    (Report.summary_strings (Session.finalize resumed))
 
 let test_every_prefix_with_pending_reorder () =
   (* lateness > 0 keeps events parked in the reorder buffer: a
      checkpoint in that state must carry them, not flush them. *)
-  let disordered =
-    [
-      ev 2 "set_glAddr"; ev 0 "set_imgAddr"; ev 3 "set_glSize"; ev 10 "start";
-      ev 15 "read_img"; ev 40 "set_irq"; ev 47 "take_lock"; ev 45 "other";
-      ev 50 "release_lock"; ev 60 "bus_idle";
-    ]
-  in
   check_every_prefix ~lateness:5 demo_suite disordered
 
 let test_violation_not_rereported () =
@@ -231,7 +279,7 @@ let test_resume_rebases_step_counters () =
   let steps m =
     match
       Obs.read_counter m ~name:"loseq_backend_steps_total"
-        ~labels:[ ("backend", "compiled") ] ()
+        ~labels:[ ("backend", "flat") ] ()
     with
     | Some n -> n
     | None -> Alcotest.fail "loseq_backend_steps_total not registered"
@@ -315,15 +363,13 @@ let () =
             test_every_prefix_with_pending_reorder;
           Alcotest.test_case "violation de-dup" `Quick
             test_violation_not_rereported;
-          Alcotest.test_case "cross-backend resume" `Quick
-            test_cross_backend_resume;
+          Alcotest.test_case "cross-backend resume" `Quick test_v1_import;
           Alcotest.test_case "cross-backend resume, pending reorder" `Quick
-            test_cross_backend_resume_with_pending_reorder;
+            test_v1_import_with_pending_reorder;
         ] );
       ( "blob format",
         [
-          Alcotest.test_case "flat hosting writes v2" `Quick
-            test_flat_checkpoint_is_v2;
+          Alcotest.test_case "flat hosting writes v2" `Quick test_capture_is_v2;
           Alcotest.test_case "blob version mismatch refused" `Quick
             test_blob_version_mismatch_refused;
           Alcotest.test_case "v2 smaller at 64 checkers" `Quick

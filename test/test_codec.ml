@@ -113,6 +113,69 @@ let test_name_length_limit () =
   Buffer.add_string huge "\xc0\x84\x3d";
   expect_decode_error "giant name" (Buffer.contents huge) "exceeds limit"
 
+(* Unsigned LEB128, as the wire carries it. *)
+let varint n =
+  let b = Buffer.create 10 in
+  let rec go n =
+    if n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+      go (n lsr 7)
+    end
+  in
+  go n;
+  Buffer.contents b
+
+let define nm = "\x01" ^ varint (String.length nm) ^ nm
+let event ~id ~delta = "\x02" ^ varint id ^ delta
+
+(* Two deltas of max_int: the second sum wraps.  It must be reported as
+   an overflow, not as the negative timestamp the wrapped sum would
+   be; likewise a single delta past max_int (a 63-bit varint). *)
+let test_timestamp_overflow () =
+  let twice =
+    Codec.magic ^ define "a"
+    ^ event ~id:0 ~delta:(varint max_int)
+    ^ event ~id:0 ~delta:(varint max_int)
+  in
+  expect_decode_error "max_int twice" twice "timestamp overflow";
+  (match Codec.decode twice with
+  | Error msg ->
+      Alcotest.(check bool) "no negative timestamp" false
+        (contains ~sub:"negative" msg)
+  | Ok _ -> ());
+  let past_max_int = String.make 8 '\x80' ^ "\x40" (* 2^62 *) in
+  expect_decode_error "delta of 2^62"
+    (Codec.magic ^ define "a" ^ event ~id:0 ~delta:past_max_int)
+    "timestamp overflow";
+  (* the largest timestamp itself is fine *)
+  match
+    Codec.decode
+      (Codec.magic ^ define "a" ^ event ~id:0 ~delta:(varint max_int))
+  with
+  | Ok [ e ] -> Alcotest.(check int) "max_int decodes" max_int e.time
+  | Ok _ -> Alcotest.fail "expected one event"
+  | Error msg -> Alcotest.fail msg
+
+(* The name table is bounded: exactly [max_names] defines decode, the
+   next one is an error record. *)
+let test_name_table_cap () =
+  let defines n =
+    let b = Buffer.create (n * 8) in
+    Buffer.add_string b Codec.magic;
+    for i = 0 to n - 1 do
+      Buffer.add_string b (define (Printf.sprintf "n%d" i))
+    done;
+    Buffer.contents b
+  in
+  (match Codec.decode (defines Codec.max_names) with
+  | Ok [] -> ()
+  | Ok _ -> Alcotest.fail "no events expected"
+  | Error msg -> Alcotest.failf "at the cap: %s" msg);
+  expect_decode_error "one define past the cap"
+    (defines (Codec.max_names + 1))
+    "name table full"
+
 (* ---- streaming decode ------------------------------------------------- *)
 
 let decode_chunked chunk_sizes data =
@@ -225,6 +288,9 @@ let () =
         [
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
           Alcotest.test_case "name length" `Quick test_name_length_limit;
+          Alcotest.test_case "timestamp overflow" `Quick
+            test_timestamp_overflow;
+          Alcotest.test_case "name table cap" `Quick test_name_table_cap;
           Alcotest.test_case "sticky" `Quick test_decoder_sticky_errors;
         ] );
       ( "streaming",
