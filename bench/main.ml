@@ -546,7 +546,9 @@ let flat_table () =
    Codec.Decoder -> Session -> verdicts must stay within 2x of raw
    in-memory hub dispatch on the 16-checker workload above.  Three
    timings on the identical 120K-event stream: the hub alone (the
-   baseline), the binary decoder alone, and the full pipeline. *)
+   baseline), the binary decoder alone, and the full pipeline the way
+   [serve] runs it — wire ids mapped to {!Session.port}s on each define
+   record, events admitted by id. *)
 let ingest_throughput () =
   section
     "Ingest throughput: bytes -> decoder -> session vs in-memory hub dispatch";
@@ -601,12 +603,12 @@ let ingest_throughput () =
         assert (List.for_all Checker.passed checkers))
   in
   let chunk = 65_536 in
-  let feed_chunks decoder ~emit =
+  let feed_chunks decoder feed =
     let len = String.length bytes in
     let off = ref 0 in
     while !off < len do
       let l = min chunk (len - !off) in
-      (match Codec.Decoder.feed decoder ~off:!off ~len:l bytes ~emit with
+      (match feed decoder ~off:!off ~len:l with
       | Ok () -> ()
       | Error msg -> failwith msg);
       off := !off + l
@@ -618,14 +620,23 @@ let ingest_throughput () =
   let decode_s =
     best (fun () ->
         let decoder = Codec.Decoder.create () in
-        feed_chunks decoder ~emit:ignore;
+        feed_chunks decoder (fun d ~off ~len ->
+            Codec.Decoder.feed d ~off ~len bytes ~emit:ignore);
         assert (Codec.Decoder.events decoder = events))
   in
   let e2e_s =
     best (fun () ->
         let session = Session.create suite in
         let decoder = Codec.Decoder.create () in
-        feed_chunks decoder ~emit:(Session.offer_force session);
+        let ports = ref [||] in
+        let define id nm =
+          if id >= Array.length !ports then
+            ports := Array.append !ports (Array.make (max 16 id) ignore);
+          !ports.(id) <- Session.port session nm
+        in
+        let event id time = !ports.(id) time in
+        feed_chunks decoder (fun d ~off ~len ->
+            Codec.Decoder.feed_ids d ~off ~len bytes ~define ~event);
         ignore (Session.finalize session);
         assert (Session.all_passed session))
   in
@@ -639,7 +650,7 @@ let ingest_throughput () =
   in
   row "hub dispatch (baseline)" hub_s;
   row "binary decode alone" decode_s;
-  row "decode + session + hub" e2e_s;
+  row "decode + session ports" e2e_s;
   Format.printf
     "@.stream: %d events, %d bytes (%.2f bytes/event); end-to-end is %.2fx \
      the@.baseline cost - the acceptance bound is 2x.@."
@@ -650,7 +661,7 @@ let ingest_throughput () =
   Printf.fprintf oc
     {|{
   "benchmark": "ingest_throughput",
-  "workload": "16 disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying LSQB stream",
+  "workload": "16 disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying LSQB stream; hub_dispatch on per-checker compiled hosting, end_to_end through flat-session ports",
   %s,
   "events": %d,
   "stream_bytes": %d,
@@ -669,21 +680,19 @@ let ingest_throughput () =
 
 (* ---- Section 3d: telemetry overhead ------------------------------------ *)
 
-(* The acceptance bound for the obs layer: hosting the 16-checker
-   dispatch workload with a live metrics registry must stay within 5%
-   of the noop-sink baseline.  Counters are pre-registered bare int
-   bumps and the dispatch-latency histogram is 1-in-64 sampled, so the
-   per-event delta is a handful of increments. *)
-let telemetry_overhead () =
-  section
-    "Telemetry overhead: hosted dispatch with noop vs live metrics registry";
-  let open Loseq_sim in
+(* The 16-checker workload as a session suite plus its timed run: one
+   port per name, the clock one tick per recognition triple. *)
+let session_workload () =
   let open Loseq_verif in
-  let module Obs = Loseq_obs.Metrics in
   let n = 16 in
   let target_events = 120_000 in
-  let patterns =
-    List.init n (fun i -> pat (Printf.sprintf "{a%d, b%d} <<! go%d" i i i))
+  let suite =
+    List.init n (fun i ->
+        {
+          Suite.label = Printf.sprintf "p%d" i;
+          pattern = pat (Printf.sprintf "{a%d, b%d} <<! go%d" i i i);
+          line = i + 1;
+        })
   in
   let names =
     Array.init n (fun i ->
@@ -694,19 +703,36 @@ let telemetry_overhead () =
         |])
   in
   let events = target_events / (3 * n) * 3 * n in
-  let timed metrics =
-    let kernel = Kernel.create () in
-    let tap = Tap.create ~record:false kernel in
-    let hub = Hub.create ~metrics tap in
-    let checkers = List.map (fun p -> Hub.add hub p) patterns in
+  let timed session =
+    let module Session = Loseq_ingest.Session in
+    let ports = Array.map (Array.map (Session.port session)) names in
+    (* the loop allocates little; without this, major-GC work left by
+       the previous session lands in whichever run comes next *)
+    Gc.full_major ();
     let t0 = Sys.time () in
     for j = 0 to events - 1 do
-      Tap.emit_name tap names.((j / 3) mod n).(j mod 3)
+      ports.((j / 3) mod n).(j mod 3) (j / 3)
     done;
     let dt = Sys.time () -. t0 in
-    assert (List.for_all Checker.passed checkers);
+    ignore (Session.finalize session);
+    assert (Session.all_passed session);
     Float.max dt 1e-6
   in
+  (suite, events, timed)
+
+(* The acceptance bound for the obs layer: hosting the 16-checker
+   dispatch workload with a live metrics registry must stay within 5%
+   of the noop-sink baseline.  Counters are pre-registered bare int
+   bumps and the dispatch-latency histogram is 1-in-64 sampled, so the
+   per-event delta is a handful of increments.  The suite is hosted the
+   way [serve] hosts it: one flat-engine {!Session}, fed through
+   {!Session.port}s. *)
+let telemetry_overhead () =
+  section
+    "Telemetry overhead: session ports with noop vs live metrics registry";
+  let module Obs = Loseq_obs.Metrics in
+  let suite, events, run = session_workload () in
+  let timed metrics = run (Loseq_ingest.Session.create ~metrics suite) in
   (* Interleaved best-of: noop and live alternate within each round so
      CPU-frequency drift between the two series cancels; min-of-rounds
      discards scheduler noise.  One discarded warm-up round first. *)
@@ -744,7 +770,7 @@ let telemetry_overhead () =
   Printf.fprintf oc
     {|{
   "benchmark": "telemetry_overhead",
-  "workload": "16 disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying stream, hub-hosted",
+  "workload": "16 disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying stream, one flat-engine session fed through ports",
   %s,
   "events": %d,
   "noop": { "seconds": %.6f, "events_per_sec": %.1f },
@@ -754,50 +780,23 @@ let telemetry_overhead () =
   "within_5pct": %b
 }
 |}
-    (provenance_json ~backend:"compiled")
+    (provenance_json ~backend:"flat")
     events noop_s (eps noop_s) live_s (eps live_s) dispatched overhead_pct
     (overhead_pct <= 5.0);
   close_out oc;
   Format.printf "@.written: BENCH_obs.json@."
 
 (* The acceptance bound for the flight recorder: hosting the same
-   16-checker dispatch workload with a live trace ring must stay
+   16-checker session workload with a live trace ring must stay
    within 5% of the noop-recorder baseline.  Dispatch spans are
    1-in-64 sampled and every record is four fixed-width stores into a
    pre-allocated ring, so the per-event delta is branch-predictable. *)
 let trace_overhead () =
   section
-    "Flight-recorder overhead: hosted dispatch with noop vs live trace ring";
-  let open Loseq_sim in
-  let open Loseq_verif in
+    "Flight-recorder overhead: session ports with noop vs live trace ring";
   let module Tr = Loseq_obs.Trace in
-  let n = 16 in
-  let target_events = 120_000 in
-  let patterns =
-    List.init n (fun i -> pat (Printf.sprintf "{a%d, b%d} <<! go%d" i i i))
-  in
-  let names =
-    Array.init n (fun i ->
-        [|
-          Name.v (Printf.sprintf "a%d" i);
-          Name.v (Printf.sprintf "b%d" i);
-          Name.v (Printf.sprintf "go%d" i);
-        |])
-  in
-  let events = target_events / (3 * n) * 3 * n in
-  let timed trace =
-    let kernel = Kernel.create () in
-    let tap = Tap.create ~record:false kernel in
-    let hub = Hub.create ~trace tap in
-    let checkers = List.map (fun p -> Hub.add hub p) patterns in
-    let t0 = Sys.time () in
-    for j = 0 to events - 1 do
-      Tap.emit_name tap names.((j / 3) mod n).(j mod 3)
-    done;
-    let dt = Sys.time () -. t0 in
-    assert (List.for_all Checker.passed checkers);
-    Float.max dt 1e-6
-  in
+  let suite, events, run = session_workload () in
+  let timed trace = run (Loseq_ingest.Session.create ~trace suite) in
   (* Interleaved best-of, as in {!telemetry_overhead}: noop and live
      alternate within each round so frequency drift cancels. *)
   let last_live = ref Tr.noop in
@@ -832,7 +831,7 @@ let trace_overhead () =
   Printf.fprintf oc
     {|{
   "benchmark": "trace_overhead",
-  "workload": "16 disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying stream, hub-hosted, flight recorder on the hub track",
+  "workload": "16 disjoint {a_i, b_i} <<! go_i checkers, round-robin satisfying stream, one flat-engine session fed through ports, flight recorder on the hub and ingest tracks",
   %s,
   "events": %d,
   "noop": { "seconds": %.6f, "events_per_sec": %.1f },
@@ -843,7 +842,7 @@ let trace_overhead () =
   "within_5pct": %b
 }
 |}
-    (provenance_json ~backend:"compiled")
+    (provenance_json ~backend:"flat")
     events noop_s (eps noop_s) live_s (eps live_s) recorded
     (Tr.dropped !last_live) overhead_pct
     (overhead_pct <= 5.0);

@@ -1,1 +1,1 @@
-let current = "2.0.0"
+let current = "2.1.0"

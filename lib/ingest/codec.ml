@@ -138,31 +138,50 @@ let encode_exn trace =
 module Decoder = struct
   type state = Header | Records | Ended | Failed of string
 
+  (* The longest record the decoder accepts: a define's tag, a length
+     varint of at most 10 bytes (the 11th is overlong) and the name.
+     A partial record is always shorter, so this bounds the carry. *)
+  let max_record = 1 + 10 + max_name_len
+
   type t = {
     mutable state : state;
-    mutable pending : string;  (* buffered partial record *)
-    mutable names : Name.t array;
+    carry : Bytes.t;  (* the partial record a chunk ended in *)
+    mutable carried : int;
+    mutable names : Name.t array;  (* by wire id, kept by [feed] only *)
     mutable defined : int;
     mutable prev_time : int;
     mutable events : int;
     mutable records : int;
-    mutable consumed : int;  (* absolute offset of [pending]'s start *)
+    mutable consumed : int;  (* absolute offset of the next record *)
+    (* the varint cursor: the value just read, the position after it *)
+    mutable value : int;
+    mutable next : int;
   }
 
   let create () =
     {
       state = Header;
-      pending = "";
+      carry = Bytes.create max_record;
+      carried = 0;
       names = [||];
       defined = 0;
       prev_time = 0;
       events = 0;
       records = 0;
       consumed = 0;
+      value = 0;
+      next = 0;
     }
 
   let events t = t.events
   let bytes_consumed t = t.consumed
+
+  (* A malformed record (reported with its ordinal and byte offset) and
+     a malformed stream (reported as is). *)
+  exception Malformed of string
+  exception Bad_stream of string
+
+  let malformed fmt = Printf.ksprintf (fun msg -> raise (Malformed msg)) fmt
 
   let fail t msg =
     t.state <- Failed msg;
@@ -172,171 +191,188 @@ module Decoder = struct
     fail t
       (Printf.sprintf "record %d (byte %d): %s" (t.records + 1) t.consumed msg)
 
-  let define t name =
-    if t.defined = Array.length t.names then begin
-      let grown = Array.make (max 8 (2 * t.defined)) name in
-      Array.blit t.names 0 grown 0 t.defined;
+  (* Only {!feed} resolves ids to names, so only it keeps them. *)
+  let add_name t id name =
+    if id = Array.length t.names then begin
+      let grown = Array.make (max 8 (2 * id)) name in
+      Array.blit t.names 0 grown 0 id;
       t.names <- grown
     end;
-    t.names.(t.defined) <- name;
-    t.defined <- t.defined + 1
+    t.names.(id) <- name
 
-  exception Overlong
+  (* The varint at [pos] into [t.value], the position after it into
+     [t.next]; [false] when [s] ends mid-varint.  Past 63 bits it is
+     malformed: a hostile stream must not spin the reader or wrap the
+     accumulator. *)
+  let rec varint t s pos limit shift acc =
+    if pos >= limit then false
+    else if shift > 63 then
+      raise (Malformed "overlong varint (more than 63 bits)")
+    else
+      let b = Char.code (String.unsafe_get s pos) in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 = 0 then begin
+        t.value <- acc;
+        t.next <- pos + 1;
+        true
+      end
+      else varint t s (pos + 1) limit (shift + 7) acc
 
-  (* Varint at [pos]; [None] when [s] ends mid-varint.  Raises
-     {!Overlong} past 63 bits (a malformed stream must not spin the
-     reader or wrap the accumulator). *)
-  let read_varint s pos limit =
-    let rec loop pos shift acc =
-      if pos >= limit then None
-      else if shift > 63 then raise Overlong
+  let incomplete = -1
+
+  (* The header, or a prefix of it. *)
+  let header t s pos limit =
+    let m = String.length magic in
+    for i = 0 to min m (limit - pos) - 1 do
+      if String.unsafe_get s (pos + i) <> String.unsafe_get magic i then
+        raise (Bad_stream "bad magic: not a loseq binary trace")
+    done;
+    if limit - pos < m then incomplete
+    else begin
+      t.state <- Records;
+      t.consumed <- t.consumed + m;
+      pos + m
+    end
+
+  (* One record at [pos]: the position after it, or [incomplete]. *)
+  let record t s pos limit ~define ~event =
+    let tag = Char.code (String.unsafe_get s pos) in
+    if tag = tag_event then
+      if not (varint t s (pos + 1) limit 0 0) then incomplete
       else
-        let b = Char.code s.[pos] in
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then Some (acc, pos + 1)
-        else loop (pos + 1) (shift + 7) acc
-    in
-    loop pos 0 0
-
-  (* One record from [s] starting at [pos]; [`Incomplete] leaves the
-     suffix buffered for the next feed. *)
-  let rec parse_record t s pos limit emit =
-    try parse_record_exn t s pos limit emit
-    with Overlong -> `Error "overlong varint (more than 63 bits)"
-
-  and parse_record_exn t s pos limit emit =
-    let tag = Char.code s.[pos] in
-    if tag = tag_define then
-      match read_varint s (pos + 1) limit with
-      | None -> `Incomplete
-      | Some (len, p) ->
-          if len > max_name_len then
-            `Error (Printf.sprintf "name of %d bytes exceeds limit" len)
-          else if t.defined = max_names then
-            `Error
-              (Printf.sprintf "name table full: more than %d defined names"
-                 max_names)
-          else if p + len > limit then `Incomplete
-          else (
-            match Name.v (String.sub s p len) with
-            | name ->
-                define t name;
-                `Record (p + len)
-            | exception Invalid_argument msg -> `Error msg)
-    else if tag = tag_event then
-      match read_varint s (pos + 1) limit with
-      | None -> `Incomplete
-      | Some (id, p) -> (
-          match read_varint s p limit with
-          | None -> `Incomplete
-          | Some (delta, p) ->
-              if id >= t.defined then
-                `Error
-                  (Printf.sprintf "event references undefined name id %d" id)
-              else if delta < 0 || delta > max_int - t.prev_time then
-                (* the varint is unsigned: a negative [delta] is one past
-                   [max_int] already *)
-                `Error
-                  (Printf.sprintf
-                     "timestamp overflow: time %d plus the delta exceeds %d"
-                     t.prev_time max_int)
-              else begin
-                (* an unsigned delta that does not overflow keeps the
-                   stream chronological and non-negative by
-                   construction: no validator needed *)
-                let time = t.prev_time + delta in
-                t.prev_time <- time;
-                t.events <- t.events + 1;
-                emit { Trace.name = t.names.(id); time };
-                `Record p
-              end)
+        let id = t.value in
+        if not (varint t s t.next limit 0 0) then incomplete
+        else begin
+          let delta = t.value and p = t.next in
+          if id < 0 || id >= t.defined then
+            malformed "event references undefined name id %d" id;
+          if delta < 0 || delta > max_int - t.prev_time then
+            (* the varint is unsigned: a negative [delta] is one past
+               [max_int] already *)
+            malformed "timestamp overflow: time %d plus the delta exceeds %d"
+              t.prev_time max_int;
+          (* an unsigned delta that does not overflow keeps the stream
+             chronological and non-negative by construction: no
+             validator needed *)
+          let time = t.prev_time + delta in
+          t.prev_time <- time;
+          t.events <- t.events + 1;
+          event id time;
+          p
+        end
+    else if tag = tag_define then
+      if not (varint t s (pos + 1) limit 0 0) then incomplete
+      else
+        let len = t.value and p = t.next in
+        if len < 0 || len > max_name_len then
+          malformed "name of %d bytes exceeds limit" len
+        else if t.defined = max_names then
+          malformed "name table full: more than %d defined names" max_names
+        else if p + len > limit then incomplete
+        else begin
+          let name =
+            try Name.v (String.sub s p len)
+            with Invalid_argument msg -> raise (Malformed msg)
+          in
+          let id = t.defined in
+          t.defined <- id + 1;
+          define id name;
+          p + len
+        end
     else if tag = tag_end then
-      match read_varint s (pos + 1) limit with
-      | None -> `Incomplete
-      | Some (count, p) ->
-          if count <> t.events then
-            `Error
-              (Printf.sprintf "end record claims %d events, decoded %d" count
-                 t.events)
-          else `End p
-    else `Error (Printf.sprintf "unknown record tag 0x%02x" tag)
+      if not (varint t s (pos + 1) limit 0 0) then incomplete
+      else if t.value <> t.events then
+        malformed "end record claims %d events, decoded %d" t.value t.events
+      else begin
+        t.state <- Ended;
+        t.next
+      end
+    else malformed "unknown record tag 0x%02x" tag
 
-  let feed t ?(off = 0) ?len s ~emit =
+  (* The header or one record at [pos], counted: the position after it,
+     or [incomplete]. *)
+  let step t s pos limit ~define ~event =
+    match t.state with
+    | Header -> header t s pos limit
+    | Records ->
+        let p = record t s pos limit ~define ~event in
+        if p >= 0 then begin
+          t.records <- t.records + 1;
+          t.consumed <- t.consumed + (p - pos)
+        end;
+        p
+    | Ended -> raise (Bad_stream "data after the end record")
+    | Failed msg -> raise (Bad_stream msg)
+
+  (* Every whole record of [s] from [pos]: the start of the partial one
+     left over ([limit] when none is). *)
+  let rec steps t s pos limit ~define ~event =
+    if pos >= limit then limit
+    else
+      let p = step t s pos limit ~define ~event in
+      if p < 0 then pos else steps t s p limit ~define ~event
+
+  (* A record split across chunks: top the carry up from [s] and parse
+     it there.  The position in [s] after the completed record, or
+     [incomplete] when [s] is used up first ([max_record] bounds every
+     partial record, so then all of [s] went into the carry). *)
+  let complete_carry t s off len ~define ~event =
+    let before = t.carried in
+    let take = min len (max_record - before) in
+    Bytes.blit_string s off t.carry before take;
+    let p =
+      step t (Bytes.unsafe_to_string t.carry) 0 (before + take) ~define
+        ~event
+    in
+    if p < 0 then begin
+      t.carried <- before + take;
+      incomplete
+    end
+    else begin
+      t.carried <- 0;
+      off + (p - before)
+    end
+
+  let feed_ids t ?(off = 0) ?len s ~define ~event =
     let len = match len with Some l -> l | None -> String.length s - off in
+    if off < 0 || len < 0 || off > String.length s - len then
+      invalid_arg "Codec.Decoder.feed";
     match t.state with
     | Failed msg -> Error msg
     | _ when len = 0 -> Ok ()
     | Ended -> fail t "data after the end record"
     | Header | Records -> (
-        let s =
-          if t.pending = "" && off = 0 && len = String.length s then s
-          else t.pending ^ String.sub s off len
-        in
-        t.pending <- "";
-        let limit = String.length s in
-        let pos = ref 0 in
-        (* header *)
-        let header_result =
-          if t.state = Header then begin
-            let m = String.length magic in
-            if limit - !pos < m then
-              if String.sub s !pos (limit - !pos)
-                 = String.sub magic 0 (limit - !pos)
-              then `Incomplete
-              else `Bad
-            else if String.sub s !pos m = magic then begin
-              pos := !pos + m;
-              t.consumed <- t.consumed + m;
-              t.state <- Records;
-              `Ok
-            end
-            else `Bad
+        let limit = off + len in
+        match
+          let pos =
+            if t.carried = 0 then off
+            else complete_carry t s off len ~define ~event
+          in
+          if pos >= 0 then begin
+            let rest = steps t s pos limit ~define ~event in
+            Bytes.blit_string s rest t.carry 0 (limit - rest);
+            t.carried <- limit - rest
           end
-          else `Ok
-        in
-        match header_result with
-        | `Bad -> fail t "bad magic: not a loseq binary trace"
-        | `Incomplete ->
-            t.pending <- String.sub s !pos (limit - !pos);
-            Ok ()
-        | `Ok ->
-            let result = ref (Ok ()) in
-            let continue_ = ref true in
-            while !continue_ && !pos < limit do
-              match parse_record t s !pos limit emit with
-              | `Record p ->
-                  t.records <- t.records + 1;
-                  t.consumed <- t.consumed + (p - !pos);
-                  pos := p
-              | `End p ->
-                  t.records <- t.records + 1;
-                  t.consumed <- t.consumed + (p - !pos);
-                  pos := p;
-                  t.state <- Ended;
-                  if !pos < limit then begin
-                    result := fail t "data after the end record";
-                    continue_ := false
-                  end
-              | `Incomplete ->
-                  t.pending <- String.sub s !pos (limit - !pos);
-                  continue_ := false
-              | `Error msg ->
-                  result := fail_at t msg;
-                  continue_ := false
-            done;
-            !result)
+        with
+        | () -> Ok ()
+        | exception Malformed msg -> fail_at t msg
+        | exception Bad_stream msg -> fail t msg)
+
+  let feed t ?off ?len s ~emit =
+    feed_ids t ?off ?len s
+      ~define:(fun id name -> add_name t id name)
+      ~event:(fun id time -> emit { Trace.name = t.names.(id); time })
 
   let finish t =
     match t.state with
     | Failed msg -> Error msg
     | Header ->
-        if t.pending = "" && t.consumed = 0 then
-          fail t "empty input: not a loseq binary trace"
+        if t.carried = 0 then fail t "empty input: not a loseq binary trace"
         else fail t "truncated stream: incomplete header"
-    | Records when t.pending <> "" ->
+    | Records when t.carried > 0 ->
         fail t
           (Printf.sprintf "truncated stream: %d byte(s) of an incomplete record"
-             (String.length t.pending))
+             t.carried)
     | Records | Ended -> Ok ()
 end
 

@@ -87,19 +87,47 @@ end
 
 module Decoder : sig
   type t
+  (** A cursor over one stream.  Records are parsed in place in the
+      caller's chunk: varints decode into the decoder's own fields and
+      events reach the caller as (id, time) pairs, so a decoded event
+      allocates nothing.  Only the bytes of a record split across a
+      chunk boundary are copied, into a fixed carry buffer (a record
+      is at most a define's ~4.1 KB: its tag, a length varint and a
+      name of at most 4096 bytes).
+
+      {b No retention.}  The decoder keeps no reference to a chunk
+      after [feed] returns: the caller may reuse or overwrite the
+      buffer it passed (a read(2) buffer, via
+      [Bytes.unsafe_to_string]). *)
 
   val create : unit -> t
+
+  val feed_ids :
+    t -> ?off:int -> ?len:int -> string ->
+    define:(int -> Name.t -> unit) ->
+    event:(int -> int -> unit) ->
+    (unit, string) result
+  (** Consume [len] bytes of the chunk from [off] (default: all of
+      it).  [define id name] runs for every define record, [id] being
+      the wire id it binds (ids count up from 0; a name defined twice
+      gets two ids); [event id time] runs for every event completed by
+      this chunk, [time] absolute.  Chunk boundaries are arbitrary.
+      Errors (bad magic, unknown tag, invalid name, more than
+      {!max_names} defines, id out of range, a timestamp past
+      [max_int], count mismatch, data after the end record) are
+      sticky: every later call fails with the same message.  An
+      exception raised by a callback propagates and leaves the decoder
+      unusable.  Raises [Invalid_argument] when [off]/[len] do not
+      designate a substring. *)
 
   val feed :
     t -> ?off:int -> ?len:int -> string ->
     emit:(Trace.event -> unit) ->
     (unit, string) result
-  (** Consume one chunk, invoking [emit] for every event completed by
-      it.  Partial records are buffered across calls; chunk boundaries
-      are arbitrary.  Errors (bad magic, unknown tag, invalid name,
-      more than {!max_names} defines, id out of range, a timestamp past
-      [max_int], count mismatch, data after the end record) are
-      sticky: every later call fails with the same message. *)
+  (** {!feed_ids} with each event resolved to its name, as a
+      {!Loseq_core.Trace.event}.  The name table this needs is kept by
+      [feed] itself, so a decoder is fed with [feed] only or with
+      {!feed_ids} only. *)
 
   val finish : t -> (unit, string) result
   (** Signal end of input; fails if the stream stops mid-record. *)
@@ -108,6 +136,6 @@ module Decoder : sig
   (** Events emitted so far. *)
 
   val bytes_consumed : t -> int
-  (** Whole-record bytes consumed so far (excludes the buffered partial
+  (** Whole-record bytes consumed so far (excludes the carried partial
       record). *)
 end

@@ -8,14 +8,11 @@ type item = { time : int; seq : int; event : Trace.event }
 module Obs = Loseq_obs.Metrics
 module Tr = Loseq_obs.Trace
 
-(* Live-sink instruments; [None] on the default noop path, so an
-   uninstrumented buffer pays one branch per mutation. *)
-type obs = {
-  occupancy : Obs.gauge;
-  lag : Obs.gauge;
-  dropped : Obs.counter;
-  full : Obs.counter;
-}
+(* Live-sink counters; [None] on the default noop path, so an
+   uninstrumented buffer pays one branch per anomaly.  The occupancy and
+   lag gauges are copied from the buffer by a collect hook, when a
+   reader looks, not on every mutation. *)
+type obs = { dropped : Obs.counter; full : Obs.counter }
 
 (* Flight-recorder categories on the ingest track: one instant per
    admission anomaly, stamped with the event's simulation time as the
@@ -44,17 +41,20 @@ let create ?(metrics = Obs.noop) ?(trace = Tr.noop) ?(capacity = 1024)
     ~lateness () =
   if lateness < 0 then invalid_arg "Reorder.create: negative lateness";
   if capacity <= 0 then invalid_arg "Reorder.create: capacity must be positive";
+  let gauges =
+    if Obs.is_live metrics then
+      Some
+        ( Obs.gauge metrics ~name:"loseq_reorder_occupancy"
+            ~help:"Events buffered awaiting their watermark" (),
+          Obs.gauge metrics ~name:"loseq_reorder_watermark_lag"
+            ~help:"Ticks between the furthest seen and the last \
+                   released timestamp" () )
+    else None
+  in
   let obs =
     if Obs.is_live metrics then
       Some
         {
-          occupancy =
-            Obs.gauge metrics ~name:"loseq_reorder_occupancy"
-              ~help:"Events buffered awaiting their watermark" ();
-          lag =
-            Obs.gauge metrics ~name:"loseq_reorder_watermark_lag"
-              ~help:"Ticks between the furthest seen and the last \
-                     released timestamp" ();
           dropped =
             Obs.counter metrics ~name:"loseq_reorder_dropped_late_total"
               ~help:"Events beyond the lateness bound, discarded" ();
@@ -75,28 +75,30 @@ let create ?(metrics = Obs.noop) ?(trace = Tr.noop) ?(capacity = 1024)
         }
     else None
   in
-  {
-    lateness;
-    cap = capacity;
-    heap = [||];
-    len = 0;
-    seq = 0;
-    max_seen = -1;
-    released = -1;
-    dropped_late = 0;
-    reordered = 0;
-    obs;
-    trc;
-  }
-
-(* Refresh the gauges after any mutation of len/max_seen/released. *)
-let sync_obs t =
-  match t.obs with
-  | None -> ()
-  | Some o ->
-      Obs.set o.occupancy t.len;
-      Obs.set o.lag
-        (if t.max_seen < 0 then 0 else max 0 (t.max_seen - max t.released 0))
+  let t =
+    {
+      lateness;
+      cap = capacity;
+      heap = [||];
+      len = 0;
+      seq = 0;
+      max_seen = -1;
+      released = -1;
+      dropped_late = 0;
+      reordered = 0;
+      obs;
+      trc;
+    }
+  in
+  (match gauges with
+  | Some (occupancy, lag) ->
+      Obs.on_collect metrics (fun () ->
+          Obs.set occupancy t.len;
+          Obs.set lag
+            (if t.max_seen < 0 then 0
+             else Int.max 0 (t.max_seen - Int.max t.released 0)))
+  | None -> ());
+  t
 
 let lateness t = t.lateness
 let capacity t = t.cap
@@ -107,7 +109,7 @@ let dropped_late t = t.dropped_late
 let reordered t = t.reordered
 
 let released t = t.released
-let floor t = max (t.max_seen - t.lateness) t.released
+let floor t = Int.max (t.max_seen - t.lateness) t.released
 
 let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -179,13 +181,11 @@ let push t (e : Trace.event) : push_result =
     if e.time > t.max_seen then t.max_seen <- e.time;
     t.seq <- t.seq + 1;
     heap_push t { time = e.time; seq = t.seq; event = e };
-    sync_obs t;
     `Queued
   end
 
 let release t item =
-  t.released <- max t.released item.time;
-  sync_obs t;
+  t.released <- Int.max t.released item.time;
   item.event
 
 let drain t ~emit =
@@ -223,8 +223,7 @@ let flush t ~emit =
 
 let note_delivered t time =
   if time > t.max_seen then t.max_seen <- time;
-  t.released <- max t.released time;
-  sync_obs t
+  t.released <- Int.max t.released time
 
 type snapshot = {
   occupancy : int;
@@ -264,6 +263,5 @@ let restore t ~max_seen ~released ~dropped_late ~reordered events =
         t.seq <- t.seq + 1;
         heap_push t { time = e.time; seq = t.seq; event = e })
       events;
-    sync_obs t;
     Ok ()
   end

@@ -49,76 +49,143 @@ let rec read_chunk fd buf =
 
 exception Input_error of string
 
-(* ---- input formats ----------------------------------------------------- *)
+(* ---- input formats -----------------------------------------------------
 
-type csv_state = { mutable partial : string; mutable lineno : int }
+   Both formats hand each event to [push] as a port (the front end's
+   admission, bound once per name) and a timestamp.  LSQB is parsed in
+   the read buffer and maps wire ids to ports in an array filled on
+   each define record, so an event costs no name lookup at all; CSV
+   looks the port up once per line. *)
+
+type binary = {
+  dec : Codec.Decoder.t;
+  define : int -> Name.t -> unit;
+  event : int -> int -> unit;
+}
+
+(* The wire-id -> port array grows with the define records, so the
+   decoder's name-table cap bounds it too. *)
+let binary ~port ~push =
+  let ports = ref [||] in
+  let define id name =
+    if id >= Array.length !ports then begin
+      let grown = Array.make (max 16 (2 * id)) ignore in
+      Array.blit !ports 0 grown 0 id;
+      ports := grown
+    end;
+    !ports.(id) <- port name
+  in
+  let event id time = push !ports.(id) time in
+  { dec = Codec.Decoder.create (); define; event }
+
+type csv_state = {
+  mutable partial : string;
+  mutable lineno : int;
+  ports : (Name.t, int -> unit) Hashtbl.t;
+}
+
+let csv_state partial = { partial; lineno = 0; ports = Hashtbl.create 16 }
+
+(* A CSV stream may name without bound: past the LSQB name-table cap,
+   ports are bound afresh instead of kept. *)
+let csv_port st ~port name =
+  match Hashtbl.find st.ports name with
+  | p -> p
+  | exception Not_found ->
+      let p = port name in
+      if Hashtbl.length st.ports < Codec.max_names then
+        Hashtbl.add st.ports name p;
+      p
 
 type parser_state =
   | Sniffing of Buffer.t
-  | Binary of Codec.Decoder.t
+  | Binary of binary
   | Csv of csv_state
 
-let feed_csv st chunk ~push =
-  let data = st.partial ^ chunk in
-  let rec split from =
-    match String.index_from_opt data from '\n' with
-    | None -> st.partial <- String.sub data from (String.length data - from)
-    | Some nl ->
-        let line = String.sub data from (nl - from) in
-        st.lineno <- st.lineno + 1;
-        (match Trace_io.parse_csv_line ~lineno:st.lineno line with
-        | Ok (Some e) -> push e
-        | Ok None -> ()
-        | Error msg -> raise (Input_error msg));
-        split (nl + 1)
-  in
-  split 0
+let rec newline s i limit =
+  if i >= limit then -1
+  else if String.unsafe_get s i = '\n' then i
+  else newline s (i + 1) limit
 
-let feed_binary dec chunk ~push =
-  match Codec.Decoder.feed dec chunk ~emit:push with
+let feed_csv st s off len ~port ~push =
+  let limit = off + len in
+  let line text =
+    st.lineno <- st.lineno + 1;
+    match Trace_io.parse_csv_line ~lineno:st.lineno text with
+    | Ok (Some (e : Trace.event)) -> push (csv_port st ~port e.name) e.time
+    | Ok None -> ()
+    | Error msg -> raise (Input_error msg)
+  in
+  let rec split from =
+    let nl = newline s from limit in
+    if nl < 0 then st.partial <- String.sub s from (limit - from)
+    else begin
+      line (String.sub s from (nl - from));
+      split (nl + 1)
+    end
+  in
+  if st.partial = "" then split off
+  else
+    let nl = newline s off limit in
+    if nl < 0 then st.partial <- st.partial ^ String.sub s off len
+    else begin
+      let head = st.partial ^ String.sub s off (nl - off) in
+      st.partial <- "";
+      line head;
+      split (nl + 1)
+    end
+
+let feed_binary b s off len =
+  match
+    Codec.Decoder.feed_ids b.dec ~off ~len s ~define:b.define ~event:b.event
+  with
   | Ok () -> ()
   | Error msg -> raise (Input_error msg)
 
 (* Route one chunk; the first chunk(s) resolve the format (binary iff
    the stream starts with the LSQB magic). *)
-let rec feed_chunk state chunk ~push =
+let rec feed_chunk state s off len ~port ~push =
   match !state with
-  | Binary dec -> feed_binary dec chunk ~push
-  | Csv st -> feed_csv st chunk ~push
+  | Binary b -> feed_binary b s off len
+  | Csv st -> feed_csv st s off len ~port ~push
   | Sniffing buf ->
-      Buffer.add_string buf chunk;
+      Buffer.add_substring buf s off len;
       let data = Buffer.contents buf in
+      let whole () =
+        feed_chunk state data 0 (String.length data) ~port ~push
+      in
       if String.length data < String.length Codec.magic then begin
         if not (Codec.looks_binary data) then begin
-          state := Csv { partial = ""; lineno = 0 };
-          feed_chunk state data ~push
+          state := Csv (csv_state "");
+          whole ()
         end
         (* else: still ambiguous, keep sniffing *)
       end
       else if Codec.looks_binary data then begin
-        state := Binary (Codec.Decoder.create ());
-        feed_chunk state data ~push
+        state := Binary (binary ~port ~push);
+        whole ()
       end
       else begin
-        state := Csv { partial = ""; lineno = 0 };
-        feed_chunk state data ~push
+        state := Csv (csv_state "");
+        whole ()
       end
 
-let finish_input state ~push =
+let finish_input state ~port ~push =
   match !state with
-  | Binary dec -> (
-      match Codec.Decoder.finish dec with
+  | Binary b -> (
+      match Codec.Decoder.finish b.dec with
       | Ok () -> ()
       | Error msg -> raise (Input_error msg))
-  | Csv st -> if st.partial <> "" then feed_csv st "\n" ~push
+  | Csv st -> if st.partial <> "" then feed_csv st "\n" 0 1 ~port ~push
   | Sniffing buf ->
       let data = Buffer.contents buf in
       if data <> "" then
         if Codec.looks_binary data then
           raise (Input_error "truncated stream: incomplete header")
         else begin
-          state := Csv { partial = ""; lineno = 0 };
-          feed_csv { partial = data; lineno = 0 } "\n" ~push
+          let st = csv_state data in
+          state := Csv st;
+          feed_csv st "\n" 0 1 ~port ~push
         end
 
 (* Consult the suite's lateness-robustness certificate before any event
@@ -354,7 +421,8 @@ let handle_http listener metrics =
   try http_serve_one listener metrics with Unix.Unix_error _ -> ()
 
 (* Pump chunks from [fd] into [consume] until end of stream or a
-   requested stop.  With an endpoint, multiplex: the input stream and
+   requested stop.  [consume buf n] sees the read buffer itself, valid
+   up to [n] and overwritten by the next read.  With an endpoint, multiplex: the input stream and
    the HTTP listener share one select, so a scrape is answered between
    chunks without threads. *)
 let stream_loop ~fd ~metrics ~consume http =
@@ -364,7 +432,7 @@ let stream_loop ~fd ~metrics ~consume http =
     | None -> `Interrupted
     | Some 0 -> `Eof
     | Some n ->
-        consume (Bytes.sub_string buf 0 n);
+        consume buf n;
         if !stop_requested then `Interrupted else plain_loop ()
   in
   let rec select_loop listener =
@@ -381,7 +449,7 @@ let stream_loop ~fd ~metrics ~consume http =
             match Unix.read fd buf 0 (Bytes.length buf) with
             | 0 -> `Eof
             | n ->
-                consume (Bytes.sub_string buf 0 n);
+                consume buf n;
                 if !stop_requested then `Interrupted else select_loop listener
             | exception Unix.Unix_error (Unix.EINTR, _, _) ->
                 if !stop_requested then `Interrupted else select_loop listener)
@@ -509,7 +577,9 @@ type front = {
   prov : Provenance.t;
   skip : int;  (* leading stream events a resumed session already holds *)
   start : (string * Json.t) list;  (* mode members of the start record *)
-  admit : Trace.event -> unit;
+  port : Name.t -> int -> unit;
+      (* [port name] binds admission for [name] once per stream; the
+         bound function admits one event at the given time *)
   position : unit -> int;  (* the stats and checkpoint clock *)
   counters : unit -> (string * Json.t) list;  (* stats record members *)
   checkpoint : string -> (int, string) result;
@@ -567,7 +637,7 @@ let buffered ~metrics ~trace ~lateness ~window ~resume_from
             ("resumed", Json.Bool (resume_from <> None));
             ("skip", Json.Int skip);
           ];
-        admit = Session.offer_force session;
+        port = Session.port session;
         position = (fun () -> Session.position session);
         counters;
         checkpoint = (fun path -> Checkpoint.save ~path session);
@@ -656,13 +726,13 @@ let speculative ~metrics ~trace ~lateness ?final_time ~out suite =
               ("mode", Json.String "speculative");
               ("lateness", Json.Int lateness);
             ];
-          admit =
-            (fun e ->
+          port =
+            (fun name time ->
               incr admitted;
               (* Ring first, offer second: a violation the offer raises
                  synchronously must find its deciding event captured. *)
-              Provenance.record prov ~time:e.Trace.time e.Trace.name;
-              ignore (Engine.offer engine e));
+              Provenance.record prov ~time name;
+              ignore (Engine.offer engine { Trace.name; time }));
           position = (fun () -> !admitted);
           counters =
             (fun () ->
@@ -749,11 +819,11 @@ let run ~metrics ~metrics_addr ~stats_interval ?checkpoint ~checkpoint_every
                 err)
       in
       let offered = ref 0 in
-      let push e =
+      let push port time =
         incr offered;
         (match srv_obs with Some o -> Obs.incr o.records | None -> ());
         if !offered > front.skip then begin
-          front.admit e;
+          port time;
           let pos = front.position () in
           if checkpoint_every > 0 && pos mod checkpoint_every = 0 then
             (match save_checkpoint () with
@@ -781,21 +851,23 @@ let run ~metrics ~metrics_addr ~stats_interval ?checkpoint ~checkpoint_every
              :: ("properties", Json.Int (List.length suite))
              :: front.start));
         let state = ref (Sniffing (Buffer.create 8)) in
-        let consume chunk =
-          (match srv_obs with
-          | Some o -> Obs.add o.bytes_in (String.length chunk)
-          | None -> ());
+        (* The decoder keeps no reference to the buffer it parses, so
+           the read buffer is handed over as is; CSV and sniffing copy
+           what they keep. *)
+        let consume buf n =
+          (match srv_obs with Some o -> Obs.add o.bytes_in n | None -> ());
+          let chunk = Bytes.unsafe_to_string buf in
           match trc with
-          | None -> feed_chunk state chunk ~push
+          | None -> feed_chunk state chunk 0 n ~port:front.port ~push
           | Some (admit, _) ->
               Tr.emit trace admit Tr.Span_begin 0;
-              feed_chunk state chunk ~push;
-              Tr.emit trace admit Tr.Span_end (String.length chunk)
+              feed_chunk state chunk 0 n ~port:front.port ~push;
+              Tr.emit trace admit Tr.Span_end n
         in
         match stream_loop ~fd ~metrics ~consume http with
         | `Interrupted -> `Interrupted
         | `Eof ->
-            finish_input state ~push;
+            finish_input state ~port:front.port ~push;
             let verdicts, rendered, ft = front.finish () in
             List.iter2
               (fun (name, verdict) rendered_v ->

@@ -53,20 +53,24 @@ let create ?metrics ?(trace = Tr.noop) ?latency_sample_rate ?(lateness = 0)
    merged deadline wheel fires any deadline that elapses on the way, so
    a deadline-only violation is reported between stream events exactly
    as it would be mid-simulation. *)
+let advance t time =
+  let until = Time.ps time in
+  if Time.( < ) (Kernel.now t.kernel) until then Kernel.run ~until t.kernel
+
 let deliver t (e : Trace.event) =
-  let until = Time.ps e.time in
-  if Time.( < ) (Kernel.now t.kernel) until then Kernel.run ~until t.kernel;
+  advance t e.time;
   Tap.emit_name t.tap e.name;
   t.delivered <- t.delivered + 1
 
+(* In-order fast path: with no reorder margin and nothing buffered an
+   admissible event cannot be overtaken, so it skips the heap. *)
+let in_order t time =
+  t.lateness = 0
+  && Reorder.is_empty t.reorder
+  && time >= Reorder.floor t.reorder
+
 let offer t (e : Trace.event) =
-  (* In-order fast path: with no reorder margin and nothing buffered an
-     admissible event cannot be overtaken, so it skips the heap. *)
-  if
-    t.lateness = 0
-    && Reorder.is_empty t.reorder
-    && e.time >= Reorder.floor t.reorder
-  then begin
+  if in_order t e.time then begin
     Reorder.note_delivered t.reorder e.time;
     deliver t e;
     t.accepted <- t.accepted + 1;
@@ -113,6 +117,24 @@ let offer_force t e =
       (match t.trc with
       | Some c -> Tr.emit c.tr c.tr_stall Tr.Span_end !drained
       | None -> ())
+
+let port t name =
+  (* A name outside the suite is routed to nobody: it is emitted by
+     name, so binding it leaves the tap's name table as it is. *)
+  let emit =
+    match Flat.gid_of_name t.engine name with
+    | Some _ -> Tap.port t.tap name
+    | None -> fun () -> Tap.emit_name t.tap name
+  in
+  fun time ->
+    if in_order t time then begin
+      Reorder.note_delivered t.reorder time;
+      advance t time;
+      emit ();
+      t.delivered <- t.delivered + 1;
+      t.accepted <- t.accepted + 1
+    end
+    else offer_force t { Trace.name; time }
 
 let flush t = ignore (Reorder.flush t.reorder ~emit:(deliver t))
 

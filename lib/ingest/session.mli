@@ -21,7 +21,8 @@
     without consuming the event, and the caller chooses — wait for the
     watermark to advance (it cannot, without new events), or trade
     reorder margin for progress with {!force_drain}.  {!offer_force}
-    packages the usual policy. *)
+    packages the usual policy, and {!port} pre-binds it per name: the
+    server's admission path. *)
 
 open Loseq_core
 open Loseq_verif
@@ -61,6 +62,16 @@ val force_drain : t -> bool
 val offer_force : t -> Trace.event -> unit
 (** [offer], force-draining until accepted — the standard server
     policy under backpressure. *)
+
+val port : t -> Name.t -> int -> unit
+(** [port t n] binds admission for events named [n] once, the way a
+    SystemC port is bound at elaboration.  [port t n time] is
+    [offer_force t { name = n; time }]; on the in-order fast path
+    ([lateness] 0, nothing pending) it delivers through the tap port
+    bound for [n] ({!Loseq_verif.Tap.port}), so no name is hashed and
+    the session allocates no event.  A name outside the suite's
+    alphabet is still counted as accepted and delivered, and binding
+    it does not grow the tap's name table. *)
 
 val flush : t -> unit
 (** Deliver everything pending, in timestamp order. *)

@@ -217,9 +217,16 @@ let pending t =
 let stop t = t.stop_requested <- true
 let stopped t = t.was_stopped
 
-let run ?until t =
-  t.stop_requested <- false;
-  t.was_stopped <- false;
+(* Nothing runnable and nothing due by [u]: {!execute} would only move
+   [now] to [u].  A session advances its private kernel to every
+   event's timestamp, so this is the common case, and [run] then
+   returns before any closure is built. *)
+let idle_until t u =
+  Queue.is_empty t.runnable
+  && Queue.is_empty t.delta
+  && (t.heap.Heap.size = 0 || Time.( < ) u t.heap.Heap.data.(0).Heap.time)
+
+let execute t until =
   let within time =
     match until with None -> true | Some u -> Time.( <= ) time u
   in
@@ -251,5 +258,12 @@ let run ?until t =
         end
   in
   eval ()
+
+let run ?until t =
+  t.stop_requested <- false;
+  t.was_stopped <- false;
+  match until with
+  | Some u when idle_until t u -> if Time.( < ) t.now u then t.now <- u
+  | _ -> execute t until
 
 let stats t = (t.spawned, t.delivered)

@@ -65,7 +65,11 @@ val run : ?until:Time.t -> t -> unit
 (** Execute until no activity remains, until simulation time would
     exceed [until] (in which case [now] is advanced to [until]), or
     until {!stop} is requested.  Exceptions raised by processes
-    propagate. *)
+    propagate.  When nothing is runnable and the earliest timed
+    callback is later than [until], [run] only advances [now] and
+    clears {!stopped}, without entering the scheduling loop: a
+    session clocking the kernel to every stream event pays almost
+    nothing between deadlines. *)
 
 val stop : t -> unit
 (** Request termination ([sc_stop] analogue): {!run} returns once the

@@ -499,7 +499,8 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
                       Tr.Span_begin 0
                 | None -> ());
                 Flat.step_name eng ~gid ~time:e.Trace.time;
-                if Flat.deadline_generation eng <> !last_gen then resettle ();
+                if (not untimed) && Flat.deadline_generation eng <> !last_gen
+                then resettle ();
                 let t1 = Monotonic_clock.now () in
                 (match obs with
                 | Some o ->
@@ -515,7 +516,8 @@ let host_flat ?(latency_sample_rate = default_sample_rate) t eng views =
               end
               else begin
                 Flat.step_name eng ~gid ~time:e.Trace.time;
-                if Flat.deadline_generation eng <> !last_gen then resettle ()
+                if (not untimed) && Flat.deadline_generation eng <> !last_gen
+                then resettle ()
               end))
     (Flat.names eng);
   resettle ();

@@ -98,5 +98,6 @@ let subscribe_name t name f =
   let id = intern t name in
   subs_add t.by_name.(id) f
 
+let routed_names t = Hashtbl.length t.ids
 let trace t = List.rev t.events_rev
 let count t = t.count

@@ -36,6 +36,10 @@ val subscribe_name : t -> Name.t -> (Trace.event -> unit) -> unit
     for the emitted name.  Whole-trace subscribers run first, then the
     per-name subscribers, each group in subscription order. *)
 
+val routed_names : t -> int
+(** Names interned for routing so far, by {!subscribe_name} or
+    {!port}: the size of the tap's name table. *)
+
 val trace : t -> Trace.t
 (** Events recorded so far (empty when [record] is false). *)
 

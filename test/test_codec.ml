@@ -92,6 +92,11 @@ let test_decode_errors () =
     (Codec.magic ^ "\x7fjunk")
     "unknown record tag";
   expect_decode_error "undefined id" (Codec.magic ^ "\x02\x05\x00") "undefined";
+  (* a 63-bit id varint wraps negative: still an undefined id, not an
+     out-of-bounds lookup *)
+  expect_decode_error "negative id"
+    (Codec.magic ^ "\x01\x01a\x02" ^ String.make 8 '\x80' ^ "\x40\x00")
+    "undefined name id";
   expect_decode_error "overlong varint"
     (Codec.magic ^ "\x02" ^ String.make 12 '\x80')
     "overlong";
@@ -272,6 +277,110 @@ let prop_chunked_decode =
       | Ok tr' -> trace_equal tr tr'
       | Error msg -> QCheck2.Test.fail_report msg)
 
+(* A stream the way a server reads it: every chunk lands in the same
+   [Bytes] buffer, which is overwritten as soon as [feed] returns.  The
+   events and the result must be those of one whole-string feed. *)
+let feed_reused_buffer sizes data =
+  let width = 64 in
+  let buf = Bytes.make width '\xff' in
+  let dec = Codec.Decoder.create () in
+  let acc = ref [] in
+  let emit e = acc := e :: !acc in
+  let len = String.length data in
+  let rec go pos sizes =
+    if pos >= len then Codec.Decoder.finish dec
+    else
+      let size, rest =
+        match sizes with [] -> (width, []) | s :: r -> (s, r)
+      in
+      let size = min size (len - pos) in
+      Bytes.blit_string data pos buf 0 size;
+      let r =
+        Codec.Decoder.feed dec ~off:0 ~len:size (Bytes.unsafe_to_string buf)
+          ~emit
+      in
+      Bytes.fill buf 0 width '\xff';
+      match r with Ok () -> go (pos + size) rest | Error _ as err -> err
+  in
+  let result = go 0 sizes in
+  (List.rev !acc, result)
+
+let feed_whole data =
+  let dec = Codec.Decoder.create () in
+  let acc = ref [] in
+  let result =
+    match Codec.Decoder.feed dec data ~emit:(fun e -> acc := e :: !acc) with
+    | Ok () -> Codec.Decoder.finish dec
+    | Error _ as err -> err
+  in
+  (List.rev !acc, result)
+
+(* Long names put define records across many chunks; wide gaps make
+   multi-byte time varints; a corruption (a truncation, a flipped byte,
+   trailing junk) makes the error paths split too. *)
+let gen_split_stream =
+  QCheck2.Gen.(
+    let* n = int_range 0 40 in
+    let* pool =
+      array_size (int_range 1 6)
+        (map (fun k -> "n" ^ String.make k 'x') (int_range 0 300))
+    in
+    let* gaps =
+      list_size (return n)
+        (oneof [ int_range 0 40; int_range 0 (1 lsl 30) ])
+    in
+    let* picks = list_size (return n) (int_bound (Array.length pool - 1)) in
+    let time = ref 0 in
+    let trace =
+      List.map2
+        (fun gap i ->
+          time := !time + gap;
+          ev !time pool.(i))
+        gaps picks
+    in
+    let data = Codec.encode_exn trace in
+    let len = String.length data in
+    let* corrupt = int_bound 3 in
+    let* at = int_bound (max 0 (len - 1)) in
+    let* byte = int_bound 255 in
+    let data =
+      match corrupt with
+      | 1 -> String.sub data 0 at
+      | 2 ->
+          let b = Bytes.of_string data in
+          Bytes.set b at (Char.chr byte);
+          Bytes.to_string b
+      | 3 -> data ^ String.make 1 (Char.chr byte)
+      | _ -> data
+    in
+    let* sizes =
+      oneof
+        [
+          return (List.init len (fun _ -> 1));
+          list_size (int_range 1 40) (int_range 1 17);
+          list_size (int_range 1 10) (int_range 1 64);
+        ]
+    in
+    return (data, sizes))
+
+let prop_reused_buffer =
+  qtest ~count:500 "reused, overwritten chunk buffer = whole feed"
+    gen_split_stream
+    (fun (data, sizes) ->
+      Printf.sprintf "%S / chunks %s" data
+        (String.concat "," (List.map string_of_int sizes)))
+    (fun (data, sizes) ->
+      let events, result = feed_reused_buffer sizes data in
+      let events', result' = feed_whole data in
+      trace_equal events events'
+      && (match (result, result') with
+         | Ok (), Ok () -> true
+         | Error a, Error b -> a = b
+         | Ok (), Error b | Error b, Ok () ->
+             QCheck2.Test.fail_reportf "one side failed: %s" b)
+      && result'
+         = Result.map (fun _ -> ()) (Codec.decode data))
+
 let () =
   Alcotest.run "codec"
     [
@@ -296,5 +405,10 @@ let () =
       ( "streaming",
         [ Alcotest.test_case "byte at a time" `Quick test_byte_at_a_time ] );
       ( "properties",
-        [ prop_roundtrip; prop_csv_equivalence; prop_chunked_decode ] );
+        [
+          prop_roundtrip;
+          prop_csv_equivalence;
+          prop_chunked_decode;
+          prop_reused_buffer;
+        ] );
     ]

@@ -193,6 +193,88 @@ let prop_disorder_absorbed =
       stats.dropped_late = 0
       && passed_of (Report.summary report) = Suite.check_trace suite trace)
 
+(* Admission through ports bound once per name decides, reports and
+   counts exactly what [offer_force] does: on the in-order fast path
+   (lateness 0, where late events are dropped) and through the reorder
+   buffer (lateness K, a window small enough to force drains). *)
+let prop_ports_equal_offer_force =
+  qtest ~count:200 "Session.port = Session.offer_force" gen_jittered_case
+    (fun (p, trace, lateness, seed) ->
+      Printf.sprintf "%s (lateness %d, seed %d)"
+        (print_pattern_and_trace (p, trace))
+        lateness seed)
+    (fun (p, trace, lateness, seed) ->
+      let suite = [ { Suite.label = "p"; pattern = p; line = 1 } ] in
+      let arrival = jitter ~lateness ~seed (chronological trace) in
+      let run ~lateness admit =
+        let session = Session.create ~lateness ~window:4 suite in
+        let violations = ref [] in
+        Session.on_violation session (fun ~name v ->
+            violations := (name, v.Diag.time, v.Diag.index) :: !violations);
+        admit session;
+        let report = Session.finalize session in
+        ( Report.summary_strings report,
+          !violations,
+          Session.stats session,
+          Session.now session )
+      in
+      let by_offer session = offer_all session arrival in
+      let by_port session =
+        let ports = Hashtbl.create 8 in
+        List.iter
+          (fun (e : Trace.event) ->
+            let port =
+              match Hashtbl.find_opt ports e.name with
+              | Some port -> port
+              | None ->
+                  let port = Session.port session e.name in
+                  Hashtbl.add ports e.name port;
+                  port
+            in
+            port e.time)
+          arrival
+      in
+      List.for_all
+        (fun lateness -> run ~lateness by_offer = run ~lateness by_port)
+        [ 0; lateness ])
+
+(* Binding a port per hostile name neither grows the tap's name table
+   nor loses the event from the counts; a name bound twice admits the
+   same way through both ports. *)
+let test_port_table_bounded () =
+  let session = Session.create ipu_suite in
+  let tap = Hub.tap (Session.hub session) in
+  let routed = Tap.routed_names tap in
+  for i = 0 to Codec.max_names - 1 do
+    Session.port session (name (Printf.sprintf "junk%d" i)) i
+  done;
+  Alcotest.(check int) "tap name table unchanged" routed
+    (Tap.routed_names tap);
+  let t = Codec.max_names in
+  let port nm = Session.port session (name nm) in
+  let set_img = port "set_imgAddr" in
+  set_img t;
+  port "set_glAddr" (t + 1);
+  port "set_glSize" (t + 2);
+  port "start" (t + 3);
+  (* the same name bound again: an [start] through either port *)
+  let start' = port "start" in
+  start' (t + 4);
+  Alcotest.(check int) "tap name table unchanged" routed
+    (Tap.routed_names tap);
+  let stats = Session.stats session in
+  Alcotest.(check int) "accepted" (Codec.max_names + 5) stats.accepted;
+  Alcotest.(check int) "delivered" (Codec.max_names + 5) stats.delivered;
+  let trace =
+    [
+      ev t "set_imgAddr"; ev (t + 1) "set_glAddr"; ev (t + 2) "set_glSize";
+      ev (t + 3) "start"; ev (t + 4) "start";
+    ]
+  in
+  Alcotest.(check (list (pair string bool)))
+    "verdicts = batch" (Suite.check_trace ipu_suite trace)
+    (passed_of (Report.summary (Session.finalize session)))
+
 let () =
   Alcotest.run "session"
     [
@@ -211,6 +293,15 @@ let () =
           Alcotest.test_case "drops late" `Quick test_drops_late_events;
           Alcotest.test_case "backpressure" `Quick test_backpressure;
         ] );
+      ( "ports",
+        [
+          Alcotest.test_case "hostile names, bounded table" `Quick
+            test_port_table_bounded;
+        ] );
       ( "properties",
-        [ prop_streaming_equals_batch; prop_disorder_absorbed ] );
+        [
+          prop_streaming_equals_batch;
+          prop_disorder_absorbed;
+          prop_ports_equal_offer_force;
+        ] );
     ]

@@ -141,6 +141,41 @@ let test_run_until_clamps () =
   Alcotest.(check int) "clock at horizon" 10_000_000 (Time.to_ps (Kernel.now k));
   Alcotest.(check bool) "still pending" true (Kernel.pending k)
 
+(* [run ~until] returns early when nothing is due by [until]; that exit
+   must leave the kernel exactly as the full scheduling loop does. *)
+let test_run_until_idle_boundary () =
+  let k = Kernel.create () in
+  let fired = ref [] in
+  let at ps =
+    ignore
+      (Kernel.schedule_at k ~at:(Time.ps ps) (fun () -> fired := ps :: !fired))
+  in
+  at 100;
+  at 101;
+  Kernel.run ~until:(Time.ps 100) k;
+  Alcotest.(check (list int)) "a thunk at until fires" [ 100 ] !fired;
+  Alcotest.(check int) "now at until" 100 (Time.to_ps (Kernel.now k));
+  (* idle up to the next deadline: nothing runs, only the clock moves *)
+  Kernel.run ~until:(Time.ps 100) k;
+  Alcotest.(check (list int)) "until + 1 does not fire" [ 100 ] !fired;
+  Alcotest.(check int) "now stays" 100 (Time.to_ps (Kernel.now k));
+  Kernel.run ~until:(Time.ps 101) k;
+  Alcotest.(check (list int)) "fires at its time" [ 101; 100 ] !fired;
+  Kernel.run ~until:(Time.ps 5_000) k;
+  Alcotest.(check int) "empty heap: now ends at until" 5_000
+    (Time.to_ps (Kernel.now k));
+  (* a stopped run leaves [stopped] set; the next run, idle or not,
+     clears it *)
+  Kernel.spawn k (fun () ->
+      Kernel.stop k;
+      Kernel.wait_for k (Time.ns 10));
+  Kernel.run k;
+  Alcotest.(check bool) "stopped" true (Kernel.stopped k);
+  Kernel.run ~until:(Time.ps 5_001) k;
+  Alcotest.(check bool) "idle exit resets stopped" false (Kernel.stopped k);
+  Alcotest.(check int) "idle exit moves now" 5_001 (Time.to_ps (Kernel.now k));
+  Alcotest.(check bool) "the wait is still pending" true (Kernel.pending k)
+
 let test_wait_loose_bounds_and_determinism () =
   let sample seed =
     let k = Kernel.create ~seed () in
@@ -279,6 +314,8 @@ let () =
           Alcotest.test_case "schedule_at past" `Quick
             test_schedule_at_past_raises;
           Alcotest.test_case "run until" `Quick test_run_until_clamps;
+          Alcotest.test_case "run until, idle boundary" `Quick
+            test_run_until_idle_boundary;
           Alcotest.test_case "loose timing" `Quick
             test_wait_loose_bounds_and_determinism;
           Alcotest.test_case "nested spawn" `Quick test_nested_spawn;
